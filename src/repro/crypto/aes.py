@@ -4,16 +4,20 @@ Supports 128/192/256-bit keys.  The verification protocol uses AES-256 in CTR
 mode (paper Section VIII: "AES in CTR mode with random IV was utilized"), and
 the secure channel uses AES-CTR inside encrypt-then-MAC.
 
-The implementation is the classic table-free byte-oriented one: S-box lookups
-plus xtime for MixColumns.  It is deliberately straightforward — correctness
-(checked against the FIPS-197 known-answer vectors in the tests) matters more
-here than raw speed, and the cost experiments only rely on the *relative*
-cost of symmetric vs. homomorphic primitives, which pure Python preserves.
+Encryption is word-oriented: the state is four 32-bit column words and each
+full round is sixteen lookups into four 256-entry tables ``Te0..Te3`` that fold
+SubBytes, ShiftRows and MixColumns together (the Rijndael proposal's 32-bit
+"T-table" form, built once at import from the S-box and ``xtime``).  The last
+round, which has no MixColumns, uses the S-box and XORs the final round key as
+one 128-bit integer.  Decryption has no hot caller (CTR mode only encrypts), so
+it stays the byte-oriented textbook inverse and doubles as an independent check
+of the table path in the tests.  Correctness is pinned by the FIPS-197 and
+SP 800-38A known-answer vectors.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.errors import KeyError_, ParameterError
 from repro.obs.instrument import count_op
@@ -69,6 +73,35 @@ def _xtime(b: int) -> int:
     return b & 0xFF
 
 
+def _build_te_tables() -> Tuple[Tuple[int, ...], ...]:
+    """``Te0..Te3``: one full round's column contribution per state byte.
+
+    ``Te0[x]`` is the MixColumns column ``(2s, s, s, 3s)`` for ``s = S[x]``,
+    packed big-endian; ``Te1..Te3`` are its byte rotations, one per row.
+    """
+    te0 = []
+    for x in range(256):
+        s = _SBOX[x]
+        s2 = _xtime(s)
+        te0.append((s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s))
+    tables = [tuple(te0)]
+    for _ in range(3):
+        tables.append(tuple(((w >> 8) | (w << 24)) & 0xFFFFFFFF for w in tables[-1]))
+    return tuple(tables)
+
+
+_TE0, _TE1, _TE2, _TE3 = _build_te_tables()
+
+
+def _sub_word(w: int) -> int:
+    return (
+        (_SBOX[w >> 24] << 24)
+        | (_SBOX[(w >> 16) & 0xFF] << 16)
+        | (_SBOX[(w >> 8) & 0xFF] << 8)
+        | _SBOX[w & 0xFF]
+    )
+
+
 def _gmul(a: int, b: int) -> int:
     """GF(2^8) multiply (used by InvMixColumns)."""
     res = 0
@@ -98,48 +131,33 @@ class AES:
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         with span("aes.key_schedule", key_bits=8 * len(key)):
             count_op("aes_key_schedule")
-            self._round_keys = self._expand_key(key)
+            self._words = self._expand_key(key)
+        self._last_key = int.from_bytes(self._round_key(self.rounds), "big")
 
-    def _expand_key(self, key: bytes) -> List[List[int]]:
+    def _expand_key(self, key: bytes) -> Tuple[int, ...]:
+        """The key schedule as ``4 * (rounds + 1)`` big-endian 32-bit words."""
         nk = len(key) // 4
-        nr = self.rounds
-        words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
-        for i in range(nk, 4 * (nr + 1)):
-            temp = list(words[i - 1])
+        words = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(nk)]
+        for i in range(nk, 4 * (self.rounds + 1)):
+            temp = words[i - 1]
             if i % nk == 0:
-                temp = temp[1:] + temp[:1]  # RotWord
-                temp = [_SBOX[b] for b in temp]  # SubWord
-                temp[0] ^= _RCON[i // nk - 1]
+                temp = _sub_word(((temp << 8) | (temp >> 24)) & 0xFFFFFFFF)  # RotWord
+                temp ^= _RCON[i // nk - 1] << 24
             elif nk > 6 and i % nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([a ^ b for a, b in zip(words[i - nk], temp)])
-        # group into 16-byte round keys
-        return [
-            [b for w in words[4 * r : 4 * r + 4] for b in w]
-            for r in range(nr + 1)
-        ]
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
+        return tuple(words)
 
-    # -- round transforms (state is a flat 16-byte column-major list) --------
+    def _round_key(self, rnd: int) -> bytes:
+        """Round ``rnd``'s 16-byte key (column-major, as the state)."""
+        return b"".join(w.to_bytes(4, "big") for w in self._words[4 * rnd : 4 * rnd + 4])
 
-    @staticmethod
-    def _sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _SBOX[state[i]]
+    # -- inverse round transforms (state is a flat 16-byte column-major list) --
 
     @staticmethod
     def _inv_sub_bytes(state: List[int]) -> None:
         for i in range(16):
             state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> List[int]:
-        # state[c*4 + r]; row r rotated left by r
-        return [
-            state[(0) * 4 + 0], state[(1) * 4 + 1], state[(2) * 4 + 2], state[(3) * 4 + 3],
-            state[(1) * 4 + 0], state[(2) * 4 + 1], state[(3) * 4 + 2], state[(0) * 4 + 3],
-            state[(2) * 4 + 0], state[(3) * 4 + 1], state[(0) * 4 + 2], state[(1) * 4 + 3],
-            state[(3) * 4 + 0], state[(0) * 4 + 1], state[(1) * 4 + 2], state[(2) * 4 + 3],
-        ]
 
     @staticmethod
     def _inv_shift_rows(state: List[int]) -> List[int]:
@@ -151,15 +169,6 @@ class AES:
         ]
 
     @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _xtime(a0) ^ (_xtime(a1) ^ a1) ^ a2 ^ a3
-            state[4 * c + 1] = a0 ^ _xtime(a1) ^ (_xtime(a2) ^ a2) ^ a3
-            state[4 * c + 2] = a0 ^ a1 ^ _xtime(a2) ^ (_xtime(a3) ^ a3)
-            state[4 * c + 3] = (_xtime(a0) ^ a0) ^ a1 ^ a2 ^ _xtime(a3)
-
-    @staticmethod
     def _inv_mix_columns(state: List[int]) -> None:
         for c in range(4):
             a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
@@ -169,7 +178,7 @@ class AES:
             state[4 * c + 3] = _gmul(a0, 11) ^ _gmul(a1, 13) ^ _gmul(a2, 9) ^ _gmul(a3, 14)
 
     @staticmethod
-    def _add_round_key(state: List[int], rk: List[int]) -> None:
+    def _add_round_key(state: List[int], rk: bytes) -> None:
         for i in range(16):
             state[i] ^= rk[i]
 
@@ -180,17 +189,27 @@ class AES:
         if len(block) != self.BLOCK_SIZE:
             raise ParameterError("AES block must be 16 bytes")
         count_op("aes_block")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for rnd in range(1, self.rounds):
-            self._sub_bytes(state)
-            state = self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state)
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
+        te0, te1, te2, te3, sbox = _TE0, _TE1, _TE2, _TE3, _SBOX
+        rk = self._words
+        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
+        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
+        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
+        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
+        for k in range(4, 4 * self.rounds, 4):
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[k],
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[k + 1],
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[k + 2],
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[k + 3],
+            )
+        # last round: SubBytes + ShiftRows, then the final key as one integer
+        out = bytes((
+            sbox[s0 >> 24], sbox[(s1 >> 16) & 0xFF], sbox[(s2 >> 8) & 0xFF], sbox[s3 & 0xFF],
+            sbox[s1 >> 24], sbox[(s2 >> 16) & 0xFF], sbox[(s3 >> 8) & 0xFF], sbox[s0 & 0xFF],
+            sbox[s2 >> 24], sbox[(s3 >> 16) & 0xFF], sbox[(s0 >> 8) & 0xFF], sbox[s1 & 0xFF],
+            sbox[s3 >> 24], sbox[(s0 >> 16) & 0xFF], sbox[(s1 >> 8) & 0xFF], sbox[s2 & 0xFF],
+        ))
+        return (int.from_bytes(out, "big") ^ self._last_key).to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt one 16-byte block."""
@@ -198,13 +217,13 @@ class AES:
             raise ParameterError("AES block must be 16 bytes")
         count_op("aes_block")
         state = list(block)
-        self._add_round_key(state, self._round_keys[self.rounds])
+        self._add_round_key(state, self._round_key(self.rounds))
         for rnd in range(self.rounds - 1, 0, -1):
             state = self._inv_shift_rows(state)
             self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[rnd])
+            self._add_round_key(state, self._round_key(rnd))
             self._inv_mix_columns(state)
         state = self._inv_shift_rows(state)
         self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
+        self._add_round_key(state, self._round_key(0))
         return bytes(state)

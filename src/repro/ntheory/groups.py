@@ -10,11 +10,13 @@ exactly that: the order-q subgroup of Z_p^* for a safe prime p = 2q + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 from repro.errors import ParameterError
 from repro.ntheory.modular import modexp, modinv
 from repro.ntheory.primes import generate_safe_prime, is_probable_prime
+from repro.obs.instrument import count_op
 from repro.utils.rand import SystemRandomSource
 
 __all__ = ["SchnorrGroup"]
@@ -27,6 +29,28 @@ _DEFAULT_P = int(
     "99529166056456643493737138893018581641938205298284854450517489568703"
     "466894784450627299"
 )
+
+
+#: Fixed-base comb width: 64-entry rows, one per 6 exponent bits.  For the
+#: 512-bit default group that is 86 rows, about 0.56 MB built in ~12 ms.
+_COMB_BITS = 6
+
+
+@lru_cache(maxsize=4)
+def _comb_rows(p: int, g: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row ``i`` holds ``g**(d * 2**(6*i)) mod p`` for ``d`` in ``[0, 64)``.
+
+    There are enough rows to cover every exponent below ``q = (p - 1) / 2``.
+    """
+    rows = []
+    base = g
+    for _ in range(-(-((p - 1) // 2).bit_length() // _COMB_BITS)):
+        row = [1]
+        for _ in range((1 << _COMB_BITS) - 1):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p  # base**64: the next row's generator
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -79,8 +103,23 @@ class SchnorrGroup:
         return modexp(base, exponent % self.q, self.p)
 
     def power_of_g(self, exponent: int) -> int:
-        """``g**exponent mod p``."""
-        return self.exp(self.g, exponent)
+        """``g**exponent mod p`` (instrumented as a modexp).
+
+        Uses a fixed-base comb: the exponent, reduced mod q as in
+        :meth:`exp`, is split into 6-bit digits and each digit selects one
+        precomputed power, so a call costs one multiplication per digit
+        instead of a square-and-multiply chain.  The table is built lazily
+        once per ``(p, g)``; every digit multiplies, zero digits by 1.
+        """
+        count_op("modexp")
+        p = self.p
+        e = exponent % self.q
+        mask = (1 << _COMB_BITS) - 1
+        acc = 1
+        for row in _comb_rows(p, self.g):
+            acc = acc * row[e & mask] % p
+            e >>= _COMB_BITS
+        return acc
 
     def mul(self, a: int, b: int) -> int:
         """Group multiplication modulo p."""

@@ -96,7 +96,7 @@ def rotl32(value: int, shift: int) -> int:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
+    """XOR two equal-length byte strings (as one big-endian integer XOR)."""
     if len(a) != len(b):
         raise ParameterError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParameterError
 from repro.ntheory.groups import SchnorrGroup
@@ -128,6 +128,32 @@ class TestSchnorrGroup:
         lhs = g.exp(g.power_of_g(a), b)
         rhs = g.exp(g.power_of_g(b), a)
         assert lhs == rhs  # DH consistency
+
+    def test_power_of_g_edge_exponents_match_pow(self):
+        g = SchnorrGroup.default()
+        q = g.q
+        for e in (0, 1, q - 1, q, q + 1, 2 * q + 5, -1):
+            assert g.power_of_g(e) == pow(g.g, e % q, g.p) == g.exp(g.g, e)
+
+    @given(st.integers(min_value=0, max_value=2**600))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_g_matches_pow(self, e):
+        g = SchnorrGroup.default()
+        assert g.power_of_g(e) == pow(g.g, e, g.p)
+
+    def test_power_of_g_small_group_exhaustive(self):
+        g = SchnorrGroup(p=1019, g=4)  # q = 509 (9 bits): the second comb row is partly used
+        for e in range(3 * g.q):
+            assert g.power_of_g(e) == pow(4, e, 1019)
+
+    def test_power_of_g_counts_one_modexp(self):
+        from repro.utils.instrument import counting
+
+        g = SchnorrGroup.default()
+        with counting() as c:
+            g.power_of_g(g.q - 1)
+            g.power_of_g(0)
+        assert c.get("modexp") == 2
 
     def test_mul_inv(self):
         g = SchnorrGroup.default()

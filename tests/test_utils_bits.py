@@ -93,3 +93,20 @@ class TestRotXor:
     def test_xor_length_mismatch(self):
         with pytest.raises(ParameterError):
             xor_bytes(b"ab", b"a")
+        with pytest.raises(ParameterError):
+            xor_bytes(b"", b"a")
+
+    def test_xor_empty(self):
+        assert xor_bytes(b"", b"") == b""
+
+    def test_xor_keeps_leading_zero_bytes(self):
+        assert xor_bytes(b"\x00\x00\x01", b"\x00\x00\x01") == b"\x00\x00\x00"
+
+    @given(
+        st.binary(max_size=64).flatmap(
+            lambda a: st.tuples(st.just(a), st.binary(min_size=len(a), max_size=len(a)))
+        )
+    )
+    def test_xor_matches_bytewise(self, pair):
+        a, b = pair
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
