@@ -8,7 +8,7 @@ layer (docs/PERFORMANCE.md): OPE encryption with the node cache on vs off,
 ``enroll_population`` across execution backends (serial vs GIL-bound
 threads vs a warmed process pool), churn-then-query with the incremental
 matcher vs a forced full resort, and the sharded server tier (upload +
-bulk query across process shards) vs the legacy single store.
+bulk query across process shards) vs a single store + matcher pair.
 
 The suite runs under an active :mod:`repro.obs` metrics registry and ends
 by writing ``benchmarks/results/BENCH_throughput.json`` — measured per-op
@@ -112,6 +112,22 @@ def world(metrics_registry):
 
 
 @pytest.fixture(scope="module")
+def engine(world):
+    """The world's profiles in a bare store + matcher pair.
+
+    The cold-query and churn head-to-heads time the matcher itself (SORT +
+    FIND, incremental maintenance vs a forced resort), so they drive the
+    pair directly rather than through the server's shard.
+    """
+    _, _, _, uploads, _, _ = world
+    store = ProfileStore()
+    matcher = ServerMatcher(store)
+    for payload in uploads.values():
+        store.put(payload)
+    return store, matcher
+
+
+@pytest.fixture(scope="module")
 def ope_worlds(metrics_registry):
     """Two schemes with a real (expanded-range) OPE: node cache on and off.
 
@@ -162,9 +178,9 @@ def _calibration_us():
     return max(1, (time.perf_counter_ns() - start) // 1000)
 
 
-def _biggest_group(server):
+def _biggest_group(store):
     """(key_index, members dict) of the largest key group."""
-    return max(server.store.groups(), key=lambda pair: len(pair[1]))
+    return max(store.groups(), key=lambda pair: len(pair[1]))
 
 
 def test_enrollment_throughput(benchmark, world):
@@ -184,18 +200,17 @@ def test_warm_query_throughput(benchmark, world):
     assert result.query_id == 1
 
 
-def test_cold_query_throughput(benchmark, world):
-    _, users, _, _, _, server = world
-    request = QueryRequest(
-        query_id=2, timestamp=0, user_id=users[0].profile.user_id
-    )
+def test_cold_query_throughput(benchmark, world, engine):
+    _, users, _, _, _, _ = world
+    _, matcher = engine
+    uid = users[0].profile.user_id
 
     def cold_query():
-        server.matcher.invalidate()
-        return server.handle_query(request)
+        matcher.invalidate()
+        return matcher.match(uid, 5)
 
     result = benchmark(cold_query)
-    assert result.query_id == 2
+    assert result == matcher.match(uid, 5)
 
 
 def test_verification_throughput(benchmark, world):
@@ -229,32 +244,32 @@ def test_ope_cache_speeds_up_encrypt(benchmark, ope_worlds):
     assert cached["per_op_us"] * 2 <= uncached["per_op_us"], (cached, uncached)
 
 
-def test_incremental_matcher_beats_resort(benchmark, world):
+def test_incremental_matcher_beats_resort(benchmark, world, engine):
     """Churn + query via incremental maintenance beats a forced resort 2x."""
-    _, _, _, uploads, _, server = world
-    _, members = _biggest_group(server)
+    _, _, _, uploads, _, _ = world
+    store, matcher = engine
+    _, members = _biggest_group(store)
     if len(members) < 3:
         pytest.skip("no group big enough for churn benchmarking")
     ids = iter(members)
     query_uid, churn_uid = next(ids), next(ids)
-    request = QueryRequest(query_id=5, timestamp=0, user_id=query_uid)
     churn_payload = uploads[churn_uid]
-    server.handle_query(request)  # warm the group index
+    matcher.match(query_uid, 5)  # warm the group index
 
     def churn_incremental():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        return server.handle_query(request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        return matcher.match(query_uid, 5)
 
     def churn_resort():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        server.matcher.invalidate()
-        return server.handle_query(request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        matcher.invalidate()
+        return matcher.match(query_uid, 5)
 
     incremental = _timed_us(churn_incremental, iterations=30)
     resort = _timed_us(churn_resort, iterations=30)
-    server.handle_query(request)  # leave the index warm for later tests
+    matcher.match(query_uid, 5)  # leave the index warm for later tests
     benchmark.pedantic(churn_incremental, rounds=5)
     assert incremental["per_op_us"] * 2 <= resort["per_op_us"], (
         incremental,
@@ -262,16 +277,19 @@ def test_incremental_matcher_beats_resort(benchmark, world):
     )
 
 
-def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
+def test_emit_bench_artifact(
+    world, engine, ope_worlds, metrics_registry, results_dir
+):
     """Write BENCH_throughput.json: latencies, speedups, metrics snapshot."""
     pop, users, scheme, uploads, keys, server = world
+    store, matcher = engine
     uid = users[0].profile.user_id
     request = QueryRequest(query_id=9, timestamp=0, user_id=uid)
     server.handle_query(request)  # warm the group index
 
     def cold_query():
-        server.matcher.invalidate()
-        server.handle_query(request)
+        matcher.invalidate()
+        matcher.match(uid, server.query_k)
 
     # -- OPE node cache: warmed hit path vs raw HMAC descent ----------------
     cache_on, cache_off, ope_profile, ope_key, ope_mapped = ope_worlds
@@ -312,25 +330,22 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         )
 
     # -- matcher churn: incremental maintenance vs forced resort ------------
-    _, members = _biggest_group(server)
+    _, members = _biggest_group(store)
     ids = iter(members)
     churn_query_uid, churn_uid = next(ids), next(ids)
-    churn_request = QueryRequest(
-        query_id=11, timestamp=0, user_id=churn_query_uid
-    )
     churn_payload = uploads[churn_uid]
-    server.handle_query(churn_request)
+    matcher.match(churn_query_uid, server.query_k)
 
     def churn_incremental():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        server.handle_query(churn_request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        matcher.match(churn_query_uid, server.query_k)
 
     def churn_resort():
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=churn_payload))
-        server.matcher.invalidate()
-        server.handle_query(churn_request)
+        store.remove(churn_uid)
+        store.put(churn_payload)
+        matcher.invalidate()
+        matcher.match(churn_query_uid, server.query_k)
 
     churn_inc = _timed_us(churn_incremental, iterations=30)
     churn_res = _timed_us(churn_resort, iterations=30)
@@ -396,10 +411,10 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
     memberships = {}
     handles = {}
     for user_id in bulk_users:
-        key_index = server.store.get(user_id).key_index
+        key_index = store.get(user_id).key_index
         handle = handles.get(key_index)
         if handle is None:
-            ordered, scores = server.matcher._group_index(key_index).snapshot()
+            ordered, scores = matcher._group_index(key_index).snapshot()
             handle = handles[key_index] = len(handles)
             orders[handle] = tuple(ordered)
             score_tables[handle] = scores
@@ -442,7 +457,7 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
     ship_shm = _timed_us(ship_context_shm, iterations=10)
 
     # -- sharded server tier: one store vs BENCH_SHARDS process shards ------
-    # A churn-then-bulk-query round against (a) the legacy single
+    # A churn-then-bulk-query round against (a) a single
     # ProfileStore + ServerMatcher with a serial bulk query, and (b) a
     # ShardedTier whose shard workers sort, match, and assemble result
     # entries in their own processes.  Both engines are pre-loaded with
@@ -552,7 +567,7 @@ def test_emit_bench_artifact(world, ope_worlds, metrics_registry, results_dir):
         # small runner (BENCH_WORKERS == 1) can legitimately report < 1.
         "shm_bulk_match_speedup": ratio(ship_pickle, ship_shm),
         # the sharded server tier: upload + bulk-query against
-        # BENCH_SHARDS process shards vs the legacy single store.  CI
+        # BENCH_SHARDS process shards vs a single store + matcher.  CI
         # enforces >= 1.5 on >= 4-core runners via --min-speedup; on a
         # small runner the fan-out overhead dominates and the recorded
         # value can legitimately sit below 1.

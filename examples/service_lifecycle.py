@@ -28,7 +28,7 @@ def main() -> None:
     sim = MobileServiceSimulation(INFOCOM06, config)
     print(
         f"{config.num_users} users enrolled into "
-        f"{sim.server.store.num_groups} key groups\n"
+        f"{sum(map(len, sim.server.tier.shard_sizes().values()))} key groups\n"
     )
     print("tick  uploads  moved  queries  verified  precision  groups  max")
     print("----  -------  -----  -------  --------  ---------  ------  ---")

@@ -38,7 +38,7 @@ from repro.crypto.paillier import (
     PaillierPublicKey,
 )
 from repro.errors import ParameterError
-from repro.utils.instrument import count_op
+from repro.obs.instrument import count_op
 from repro.utils.rand import SystemRandomSource
 
 __all__ = ["HomoPM", "HomoPMQuery"]

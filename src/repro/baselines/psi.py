@@ -21,7 +21,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.crypto.kdf import hash_to_range, sha256
 from repro.errors import ParameterError
 from repro.ntheory.groups import SchnorrGroup
-from repro.utils.instrument import count_op
+from repro.obs.instrument import count_op
 from repro.utils.rand import SystemRandomSource
 
 __all__ = ["PsiParty", "PsiMatcher"]

@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import ParameterError
 from repro.utils.bits import pack_blocks, unpack_blocks
-from repro.utils.instrument import count_op
+from repro.obs.instrument import count_op
 from repro.utils.rand import DeterministicStream
 
 __all__ = ["AttributeChainer"]

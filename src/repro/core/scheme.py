@@ -16,7 +16,6 @@ message's payload.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -52,8 +51,8 @@ def profile_enroll_seed(seed: int, user_id: int) -> int:
 
     A pure function of ``(seed, user_id)`` so the enrollment of one profile
     is independent of batch composition, chunking, and worker scheduling —
-    the invariant that makes ``enroll_population(workers=N, seed=s)``
-    byte-identical for every ``N``.
+    the invariant that makes ``enroll_population(backend=b, seed=s)``
+    byte-identical for every backend and worker count.
     """
     digest = sha256(
         b"smatch-enroll-seed",
@@ -389,7 +388,6 @@ class SMatch:
         backend: Any = None,
         seed: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> Tuple[Dict[int, EncryptedProfile], Dict[int, ProfileKey]]:
         """Enroll many users; returns (uploads by id, keys by id).
 
@@ -413,18 +411,14 @@ class SMatch:
         keeps the parallel path deterministic under a seeded ``SMatch`` and
         keeps workers off the shared (non-thread-safe) source.
 
-        No ``backend``/``workers``/``seed`` is the legacy fully-sequential
-        path using the instance RNG directly, preserved bit-for-bit for
-        existing seeded callers.
-
-        ``workers=N`` is deprecated: it maps to ``backend="thread"`` sized
-        ``N`` (``N=1`` → serial semantics) and warns.
+        No ``backend``/``seed`` is the legacy fully-sequential path using
+        the instance RNG directly, preserved bit-for-bit for existing seeded
+        callers.
         """
         from repro.parallel import (
             EnrollSpec,
             SerialBackend,
             TaskEnvelope,
-            ThreadBackend,
             balanced_chunk_size,
             default_backend,
             enroll_chunk,
@@ -432,23 +426,6 @@ class SMatch:
             resolve_backend,
         )
 
-        if workers is not None:
-            if workers < 1:
-                raise ParameterError("workers must be >= 1")
-            warnings.warn(
-                "enroll_population(workers=...) is deprecated; pass "
-                "backend='thread'/'process' (or an ExecutionBackend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if backend is not None:
-                raise ParameterError(
-                    "pass either backend= or the deprecated workers=, not both"
-                )
-            if workers > 1:
-                backend = ThreadBackend(workers)
-            elif seed is not None:
-                backend = SerialBackend()
         if chunk_size is not None and chunk_size < 1:
             raise ParameterError("chunk_size must be >= 1")
         profiles = list(profiles)

@@ -8,7 +8,7 @@ The paper's analytic accounting:
   verification;
 * server: O(|V| log |V|) to sort a key group, O(log |V|) to search it.
 
-We run the real pipeline under :func:`repro.utils.instrument.counting` and
+We run the real pipeline under :func:`repro.obs.instrument.counting` and
 check the recorded operation counts against those formulas (the hash count
 uses our concrete hash-to-range construction, so the test asserts the
 O(d) + O(1) structure: the count is affine in d and independent of k).
@@ -29,7 +29,7 @@ from repro.net.oprf_messages import (
     OprfRequest,
     OprfResponse,
 )
-from repro.utils.instrument import counting
+from repro.obs.instrument import counting
 from repro.utils.rand import SystemRandomSource
 
 __all__ = [

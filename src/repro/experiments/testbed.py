@@ -24,7 +24,7 @@ from repro.experiments.common import (
     build_scheme,
 )
 from repro.experiments.fig4cde import DATASETS, build_homopm
-from repro.utils.instrument import counting
+from repro.obs.instrument import counting
 
 __all__ = ["run", "estimated_client_costs_ms"]
 

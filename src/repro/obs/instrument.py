@@ -11,8 +11,7 @@ single dictionary lookup to hot paths in the common case.
 
 This module is the op-counting pillar of the :mod:`repro.obs` telemetry
 package; spans (:mod:`repro.obs.trace`) activate a nested counter per span
-to attribute operation deltas to pipeline phases.  The historical import
-path ``repro.utils.instrument`` re-exports everything here.
+to attribute operation deltas to pipeline phases.
 """
 
 from __future__ import annotations
@@ -25,7 +24,14 @@ from typing import Dict, Iterator, Optional
 
 __all__ = ["OpCounter", "count_op", "counting", "current_counter", "Stopwatch"]
 
-_local = threading.local()
+
+class _CounterLocal(threading.local):
+    # a class-level default: reading an unset counter is a plain attribute
+    # read, not a caught AttributeError on every count_op
+    counter: Optional["OpCounter"] = None
+
+
+_local = _CounterLocal()
 
 
 class OpCounter:

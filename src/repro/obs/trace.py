@@ -43,7 +43,14 @@ __all__ = [
     "render_tree",
 ]
 
-_local = threading.local()
+
+class _TraceLocal(threading.local):
+    # a class-level default: looking up an unset tracer is a plain attribute
+    # read, not a caught AttributeError on every no-op span
+    tracer: Optional["Tracer"] = None
+
+
+_local = _TraceLocal()
 
 
 class _NoopSpan:

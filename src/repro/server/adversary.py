@@ -23,12 +23,17 @@ the commitment).
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro.core.scheme import EncryptedProfile
 from repro.core.verification import AuthInfo
 from repro.crypto.modes import AeadCiphertext
-from repro.errors import MatchingError
-from repro.net.messages import QueryRequest, QueryResult, ResultEntry
+from repro.net.messages import (
+    QueryRequest,
+    QueryResult,
+    ResultEntry,
+    UploadMessage,
+)
 from repro.server.service import SMatchServer
 from repro.utils.rand import SystemRandomSource
 
@@ -45,7 +50,11 @@ class MaliciousBehavior(enum.Enum):
 
 
 class MaliciousServer(SMatchServer):
-    """A server that tampers with query results."""
+    """A server that tampers with query results.
+
+    It remembers every payload it is sent (latest per user), which is all
+    the forgery strategies need to pick foreign users.
+    """
 
     def __init__(
         self,
@@ -58,6 +67,12 @@ class MaliciousServer(SMatchServer):
         self.behavior = behavior
         self._rng = rng or SystemRandomSource()
         self.forgeries_sent = 0
+        self._seen: Dict[int, EncryptedProfile] = {}
+
+    def handle_upload(self, message: UploadMessage) -> None:
+        """Store honestly, and remember the payload for later forgeries."""
+        super().handle_upload(message)
+        self._seen[message.payload.user_id] = message.payload
 
     def handle_query(self, request: QueryRequest) -> QueryResult:
         """Answer honestly, then apply the forgery strategy."""
@@ -92,13 +107,12 @@ class MaliciousServer(SMatchServer):
 
     def _fake_users(self, request: QueryRequest) -> List[ResultEntry]:
         """Present users from foreign key groups as matches."""
-        try:
-            my_index = self.store.get(request.user_id).key_index
-        except MatchingError:
-            my_index = b""  # unknown querier: every group is foreign
+        mine = self._seen.get(request.user_id)
+        # unknown querier: every group is foreign
+        my_index = mine.key_index if mine is not None else b""
         outsiders = [
             payload
-            for uid, payload in self.store.all_profiles().items()
+            for uid, payload in self._seen.items()
             if payload.key_index != my_index and uid != request.user_id
         ]
         return [

@@ -36,6 +36,10 @@ _VERSION = 1
 #: percent of even for hash-uniform key indexes.
 DEFAULT_VNODES = 64
 
+#: Largest ring a persisted map may declare (shards x vnodes): a corrupted
+#: count must fail decoding, not hash for hours building the ring.
+_MAX_RING_POINTS = 1 << 16
+
 
 def _ring_point(data: bytes) -> int:
     return int.from_bytes(sha256(_RING_DOMAIN, data), "big")
@@ -55,6 +59,11 @@ class PlacementMap:
     shards: int
     vnodes: int = DEFAULT_VNODES
     _ring: Tuple[Tuple[int, int], ...] = field(default=(), repr=False)
+    #: Answers already computed, one per group seen.  The map is immutable,
+    #: so they never go stale; a rebalance builds a new map.
+    _owners: Dict[bytes, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -83,6 +92,9 @@ class PlacementMap:
 
     def shard_of(self, key_index: bytes) -> int:
         """The shard owning a key-index group (pure, deterministic)."""
+        shard = self._owners.get(key_index)
+        if shard is not None:
+            return shard
         if len(key_index) != 32:
             raise ParameterError("key index must be 32 bytes")
         point = int.from_bytes(sha256(_KEY_DOMAIN, key_index), "big")
@@ -90,7 +102,8 @@ class PlacementMap:
         pos = bisect_right(ring, (point, self.shards))
         if pos == len(ring):
             pos = 0  # wrap: the successor of the last point is the first
-        return ring[pos][1]
+        shard = self._owners[key_index] = ring[pos][1]
+        return shard
 
     def rebalanced(self, shards: int) -> "PlacementMap":
         """The explicit successor map: new shard count, version + 1."""
@@ -135,4 +148,8 @@ class PlacementMap:
         shards = reader.read_int()
         vnodes = reader.read_int()
         reader.expect_end()
+        if shards * vnodes > _MAX_RING_POINTS:
+            raise ProtocolError(
+                f"placement declares {shards} shards x {vnodes} vnodes"
+            )
         return cls(version=version, shards=shards, vnodes=vnodes)

@@ -46,7 +46,13 @@ from repro.obs.metrics import M_SHARD_SNAPSHOTS, metric_inc
 from repro.utils.ct import constant_time_eq
 from repro.utils.serial import FieldReader, FieldWriter
 
-__all__ = ["SnapshotStore", "write_snapshot", "load_snapshot"]
+__all__ = [
+    "SnapshotStore",
+    "atomic_write",
+    "fsync_directory",
+    "load_snapshot",
+    "write_snapshot",
+]
 
 _MAGIC = b"SMATCH-SHARD-SNAP"
 _VERSION = 1
@@ -154,6 +160,30 @@ def load_snapshot(path: Union[str, pathlib.Path]) -> _SnapshotFile:
     )
 
 
+def fsync_directory(directory: Union[str, pathlib.Path]) -> None:
+    """Make a directory's entries (creates, renames) durable."""
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def atomic_write(path: Union[str, pathlib.Path], data: bytes) -> None:
+    """Replace ``path`` with ``data``: tmp + fsync + rename + directory fsync.
+
+    A crash at any point leaves either the old file or the new one.
+    """
+    final = pathlib.Path(path)
+    tmp = final.with_name(final.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, final)
+    fsync_directory(final.parent)
+
+
 def write_snapshot(
     directory: Union[str, pathlib.Path],
     seq: int,
@@ -163,20 +193,10 @@ def write_snapshot(
     tombstones: Iterable[bytes],
 ) -> pathlib.Path:
     """Atomically write ``snap-<seq>.bin`` into ``directory``."""
-    dir_path = pathlib.Path(directory)
-    final = dir_path / f"snap-{seq:08d}.bin"
-    tmp = dir_path / f"snap-{seq:08d}.bin.tmp"
-    data = _encode_snapshot(seq, parent_seq, full, groups, tombstones)
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, final)
-    dir_fd = os.open(dir_path, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    final = pathlib.Path(directory) / f"snap-{seq:08d}.bin"
+    atomic_write(
+        final, _encode_snapshot(seq, parent_seq, full, groups, tombstones)
+    )
     metric_inc(M_SHARD_SNAPSHOTS)
     return final
 

@@ -1,7 +1,7 @@
 """One shard's live state: store + matcher + WAL/snapshot durability.
 
 A :class:`ShardState` is the unit that runs inside a shard worker process
-(or inline, for ``shards=1`` and tests): its own
+(or inline, the default): its own
 :class:`~repro.server.storage.ProfileStore` and
 :class:`~repro.server.matcher.ServerMatcher`, plus an optional
 :class:`ShardDurability` wiring the write-ahead log and snapshot chain
@@ -18,15 +18,14 @@ boundary:
     at-least-once redelivery after a crash converges;
 ``("query", user_id, k)``
     kNN match → a tuple of :class:`~repro.net.messages.ResultEntry`
-    (empty for an unknown user or singleton group, matching
-    ``SMatchServer._match_ids``);
+    (empty for an unknown user or singleton group);
 ``("query_within", user_id, max_distance)``
     MAX-distance match, same result shape;
 ``("manifest",)``
     ``((user_id, key_index), ...)`` — the routing table the coordinator
     rebuilds from after reopening a durable tier;
-``("export",)`` / ``("export_group", key_index)``
-    stored profiles (all, or one group) — the rebalance/import-export path;
+``("export_group", key_index)``
+    one group's stored profiles — the rebalance path;
 ``("sizes",)``
     the shard's group sizes;
 ``("snapshot",)``
@@ -241,24 +240,24 @@ class ShardState:
     # -- mutations -------------------------------------------------------------
 
     def _put(self, payload: EncryptedProfile) -> None:
-        previous: Optional[bytes] = None
+        durability = self._durability
+        if durability is None:
+            self.store.put(payload)
+            return
+        # dirty groups only feed the next delta snapshot
         if self.store.contains(payload.user_id):
-            previous = self.store.get(payload.user_id).key_index
-        if self._durability is not None:
-            self._durability.log_put(payload)
+            self._dirty.add(self.store.get(payload.user_id).key_index)
+        durability.log_put(payload)
         self.store.put(payload)
-        if previous is not None:
-            self._dirty.add(previous)
         self._dirty.add(payload.key_index)
 
     def _remove(self, user_id: int) -> None:
         if not self.store.contains(user_id):
             return  # tolerant: replay/redelivery idempotence
-        key_index = self.store.get(user_id).key_index
         if self._durability is not None:
+            self._dirty.add(self.store.get(user_id).key_index)
             self._durability.log_remove(user_id)
         self.store.remove(user_id)
-        self._dirty.add(key_index)
 
     # -- queries ---------------------------------------------------------------
 
@@ -325,10 +324,6 @@ class ShardState:
                             for key_index, members in self.store.groups()
                             for uid in sorted(members)
                         )
-                    )
-                elif kind == "export":
-                    results.append(
-                        tuple(self.store.all_profiles().values())
                     )
                 elif kind == "export_group":
                     key_index = cast(bytes, op[1])

@@ -1,11 +1,12 @@
-"""The shard coordinator: routing, fan-out, rebalance, import/export.
+"""The shard coordinator: routing, fan-out, rebalance, bulk import.
 
 A :class:`ShardedTier` owns N shard handles (inline or process-backed —
 :mod:`repro.server.sharding.worker`), a versioned
 :class:`~repro.server.sharding.placement.PlacementMap`, and the routing
 side table ``user_id -> key_index`` (queries carry only ``ID_v``, so the
 coordinator must remember which group — and therefore which shard — each
-user lives in).
+user lives in).  The map remembers each group's shard once computed, so
+only a group's first upload hashes into the placement ring.
 
 Hot-path guarantees:
 
@@ -41,8 +42,8 @@ from repro.server.sharding.state import (
     DEFAULT_SNAPSHOT_EVERY,
     ShardOp,
 )
+from repro.server.sharding.snapshot import atomic_write
 from repro.server.sharding.worker import InlineShard, ProcessShard, ShardSpec
-from repro.server.storage import ProfileStore
 
 __all__ = ["ShardedTier"]
 
@@ -115,10 +116,7 @@ class ShardedTier:
     def _persist_placement(self, placement: PlacementMap) -> None:
         if self._data_dir is None:
             return
-        path = self._data_dir / "placement.bin"
-        tmp = self._data_dir / "placement.bin.tmp"
-        tmp.write_bytes(placement.encode())
-        tmp.replace(path)
+        atomic_write(self._data_dir / "placement.bin", placement.encode())
 
     def _make_shard(self, shard_id: int) -> ShardHandle:
         shard_dir: Optional[str] = None
@@ -151,15 +149,15 @@ class ShardedTier:
     def _fanout(
         self, ops_by_shard: Dict[int, List[ShardOp]]
     ) -> Dict[int, List[object]]:
-        """Apply per-shard op batches, shard-parallel in process mode."""
-        live = {sid: ops for sid, ops in ops_by_shard.items() if ops}
-        if not live:
-            return {}
-        if self._mode == "inline" or len(live) == 1:
-            return {
-                sid: self._shards[sid].apply(ops)
-                for sid, ops in live.items()
-            }
+        """Apply per-shard op batches, shard-parallel in process mode.
+
+        Every batch a caller passes is non-empty.
+        """
+        if self._mode == "inline" or len(ops_by_shard) <= 1:
+            results: Dict[int, List[object]] = {}
+            for sid, ops in ops_by_shard.items():
+                results[sid] = self._shards[sid].apply(ops)
+            return results
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=len(self._shards),
@@ -167,12 +165,9 @@ class ShardedTier:
             )
         futures = {
             sid: self._pool.submit(self._shards[sid].apply, ops)
-            for sid, ops in live.items()
+            for sid, ops in ops_by_shard.items()
         }
         return {sid: future.result() for sid, future in futures.items()}
-
-    def _shard_of(self, key_index: bytes) -> int:
-        return self._placement.shard_of(key_index)
 
     # -- mutations -------------------------------------------------------------
 
@@ -188,14 +183,15 @@ class ShardedTier:
         batch order, which is all the cross-shard commutativity argument
         in the module docs needs.
         """
+        shard_of = self._placement.shard_of
         ops_by_shard: Dict[int, List[ShardOp]] = {}
         routed: Dict[int, bytes] = {}
         for payload in payloads:
             uid = payload.user_id
             previous = routed.get(uid, self._user_key_index.get(uid))
-            new_shard = self._shard_of(payload.key_index)
+            new_shard = shard_of(payload.key_index)
             if previous is not None and previous != payload.key_index:
-                old_shard = self._shard_of(previous)
+                old_shard = shard_of(previous)
                 if old_shard != new_shard:
                     ops_by_shard.setdefault(old_shard, []).append(
                         ("remove", uid)
@@ -215,7 +211,9 @@ class ShardedTier:
         key_index = self._user_key_index.get(user_id)
         if key_index is None:
             raise MatchingError(f"unknown user {user_id}")
-        self._shards[self._shard_of(key_index)].apply([("remove", user_id)])
+        self._shards[self._placement.shard_of(key_index)].apply(
+            [("remove", user_id)]
+        )
         del self._user_key_index[user_id]
 
     # -- queries ---------------------------------------------------------------
@@ -226,8 +224,8 @@ class ShardedTier:
         k: int = 5,
         max_distance: Optional[int] = None,
     ) -> Tuple[ResultEntry, ...]:
-        """Match one user on their shard; unknown users get an empty tuple
-        (the same surface ``SMatchServer._match_ids`` presents)."""
+        """Match one user on their shard; an unknown user, or one alone in
+        their group, gets an empty tuple."""
         key_index = self._user_key_index.get(user_id)
         if key_index is None:
             return ()
@@ -236,7 +234,8 @@ class ShardedTier:
             op = ("query_within", user_id, max_distance)
         else:
             op = ("query", user_id, k)
-        result = self._shards[self._shard_of(key_index)].apply([op])[0]
+        shard = self._shards[self._placement.shard_of(key_index)]
+        result = shard.apply([op])[0]
         return result  # type: ignore[return-value]
 
     def query_bulk(
@@ -255,7 +254,7 @@ class ShardedTier:
             key_index = self._user_key_index.get(uid)
             if key_index is None:
                 continue
-            shard_id = self._shard_of(key_index)
+            shard_id = self._placement.shard_of(key_index)
             ops_by_shard.setdefault(shard_id, []).append(("query", uid, k))
             slots.setdefault(shard_id, []).append(position)
         with span(
@@ -351,24 +350,12 @@ class ShardedTier:
         self._persist_placement(successor)
         return successor
 
-    # -- import / export (the legacy full-blob path) ---------------------------
-
-    def export_store(self) -> ProfileStore:
-        """Every stored profile folded into one in-memory ``ProfileStore``
-        — the bridge to ``repro.server.persistence.dump_store_bytes``."""
-        exported = self._fanout(
-            {sid: [("export",)] for sid in range(len(self._shards))}
-        )
-        store = ProfileStore()
-        for results in exported.values():
-            for payload in results[0]:  # type: ignore[union-attr]
-                store.put(payload)
-        return store
+    # -- bulk import ---------------------------------------------------------
 
     def import_profiles(
         self, payloads: Sequence[EncryptedProfile]
     ) -> None:
-        """Load profiles (e.g. from ``load_store_bytes``) through routing."""
+        """Bulk-load profiles through routing, as one batch."""
         self.put_batch(list(payloads))
 
     # -- lifecycle -------------------------------------------------------------

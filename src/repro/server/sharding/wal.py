@@ -43,6 +43,7 @@ from repro.obs.metrics import (
     M_SHARD_WAL_RECORDS,
     metric_inc,
 )
+from repro.server.sharding.snapshot import fsync_directory
 from repro.utils.serial import FieldReader, FieldWriter
 
 __all__ = [
@@ -167,7 +168,9 @@ class ShardWal:
     Appends buffer in memory; :meth:`commit` is the durability point —
     it writes every buffered frame, flushes, and fsyncs once (``fsync=False``
     skips the sync for benchmarks and tests on tmpfs, keeping the format
-    identical).  The file is opened at its last valid frame boundary:
+    identical).  Creating a new segment also fsyncs its directory, so a
+    committed record cannot vanish with a file whose entry was never made
+    durable.  The file is opened at its last valid frame boundary:
     a torn tail from a previous crash is truncated away before the first
     new append, so a recovered log never interleaves old half-frames with
     new records.
@@ -180,8 +183,12 @@ class ShardWal:
         self._fsync = fsync
         self._buffer: List[bytes] = []
         replayed = replay_wal(self._path)
-        mode = "r+b" if self._path.exists() else "w+b"
-        self._file: Optional[BinaryIO] = open(self._path, mode)
+        created = not self._path.exists()
+        self._file: Optional[BinaryIO] = open(
+            self._path, "w+b" if created else "r+b"
+        )
+        if created and fsync:
+            fsync_directory(self._path.parent)
         if replayed.torn_tail:
             self._file.truncate(replayed.valid_bytes)
         self._file.seek(0, os.SEEK_END)

@@ -99,7 +99,7 @@ class InlineShard:
 
     Same state, same op protocol, no process boundary: the reference
     semantics the process mode must reproduce byte-for-byte, and the
-    cheap path for ``shards=1`` and tests.
+    default shard of every in-process server.
     """
 
     def __init__(self, spec: ShardSpec) -> None:
@@ -108,7 +108,7 @@ class InlineShard:
 
     def apply(self, ops: Sequence[ShardOp]) -> List[object]:
         """Apply one op batch synchronously."""
-        return self._state.apply_ops(list(ops))
+        return self._state.apply_ops(ops)
 
     def close(self) -> None:
         """Flush durability and release the shard (idempotent)."""

@@ -50,8 +50,7 @@ class ProfileStore:
         """Subscribe to profile_added / profile_removed events (weakly).
 
         Idempotent: re-adding an already-subscribed listener is a no-op,
-        so a matcher re-attached after persistence reload can never
-        double-receive events.
+        so no listener can ever double-receive events.
         """
         if any(ref() is listener for ref in self._listeners):
             return

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.core.keygen import ProfileKey
 from repro.core.profile import Profile, profile_distance
 from repro.core.scheme import SMatch
 from repro.datasets.schema import DatasetSpec
@@ -115,7 +116,7 @@ class MobileServiceSimulation:
             query_k=config.query_k,
         )
         self.server = SMatchServer(query_k=config.query_k)
-        self._keys: Dict[int, object] = {}
+        self._keys: Dict[int, ProfileKey] = {}
         self._upload_offset: Dict[int, int] = {
             uid: self._rng.randrange(0, config.upload_period)
             for uid in self.profiles
@@ -132,11 +133,8 @@ class MobileServiceSimulation:
         """(Re-)enroll a user; returns True when their key group changed."""
         with span("sim.enroll", user=uid):
             profile = self.profiles[uid]
-            previous = (
-                self.server.store.get(uid).key_index
-                if self.server.store.contains(uid)
-                else None
-            )
+            known = self._keys.get(uid)
+            previous = known.index if known is not None else None
             payload, key = self.scheme.enroll(profile)
             self._keys[uid] = key
             self.server.handle_upload(UploadMessage(payload=payload))
@@ -193,9 +191,13 @@ class MobileServiceSimulation:
                 if profile_distance(profile, other) <= config.theta + slack:
                     metrics.verified_true_matches += 1
 
-        sizes = self.server.store.group_sizes()
+        sizes = [
+            size
+            for shard in self.server.tier.shard_sizes().values()
+            for size in shard
+        ]
         metrics.num_groups = len(sizes)
-        metrics.largest_group = sizes[0] if sizes else 0
+        metrics.largest_group = max(sizes, default=0)
         self.history.append(metrics)
         self._clock += 1
         return metrics

@@ -18,7 +18,7 @@ class TestSha256:
         assert sha256(b"ab", b"c") == sha256(b"abc")
 
     def test_counts_op(self):
-        from repro.utils.instrument import counting
+        from repro.obs.instrument import counting
 
         with counting() as c:
             sha256(b"x")

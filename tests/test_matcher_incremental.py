@@ -11,24 +11,24 @@ import random
 
 import pytest
 
-from repro.net.messages import UploadMessage
 from repro.server.matcher import ServerMatcher
-from repro.server.service import SMatchServer
 from repro.server.storage import ProfileStore
 
 
 def _loaded(enrolled, order_method):
+    """(store, matcher, uploads): every enrolled upload in a fresh pair."""
     _, _, uploads, _ = enrolled
-    server = SMatchServer(query_k=3, order_method=order_method)
+    store = ProfileStore()
+    matcher = ServerMatcher(store, order_method=order_method)
     for payload in uploads.values():
-        server.handle_upload(UploadMessage(payload=payload))
-    return server, uploads
+        store.put(payload)
+    return store, matcher, uploads
 
 
 @pytest.mark.parametrize("order_method", ["rank", "value"])
 class TestIncrementalEqualsRebuild:
     def test_interleaved_churn_equivalence(self, enrolled, order_method):
-        server, uploads = _loaded(enrolled, order_method)
+        store, matcher, uploads = _loaded(enrolled, order_method)
         rnd = random.Random(1009)
         all_uids = list(uploads)
         alive = set(all_uids)
@@ -36,70 +36,66 @@ class TestIncrementalEqualsRebuild:
             roll = rnd.random()
             if roll < 0.45 or not alive:
                 uid = rnd.choice(all_uids)
-                server.handle_upload(UploadMessage(payload=uploads[uid]))
+                store.put(uploads[uid])
                 alive.add(uid)
             elif roll < 0.7 and len(alive) > 1:
                 uid = rnd.choice(sorted(alive))
-                server.store.remove(uid)
+                store.remove(uid)
                 alive.discard(uid)
             else:
                 uid = rnd.choice(sorted(alive))
-                fresh = ServerMatcher(
-                    server.store, order_method=order_method
-                )
-                assert server.matcher.match(uid, 3) == fresh.match(uid, 3)
-                assert server.matcher.match_within(
+                fresh = ServerMatcher(store, order_method=order_method)
+                assert matcher.match(uid, 3) == fresh.match(uid, 3)
+                assert matcher.match_within(
                     uid, 30
                 ) == fresh.match_within(uid, 30)
 
     def test_remove_and_identical_reupload_is_a_no_op(
         self, enrolled, order_method
     ):
-        server, uploads = _loaded(enrolled, order_method)
-        _, members = max(server.store.groups(), key=lambda p: len(p[1]))
+        store, matcher, uploads = _loaded(enrolled, order_method)
+        _, members = max(store.groups(), key=lambda p: len(p[1]))
         if len(members) < 2:
             pytest.skip("no multi-member group in this population")
         ids = iter(members)
         query_uid, churn_uid = next(ids), next(ids)
-        before = server.matcher.match(query_uid, 3)
+        before = matcher.match(query_uid, 3)
         for _ in range(3):
-            payload = server.store.get(churn_uid)
-            server.store.remove(churn_uid)
-            server.handle_upload(UploadMessage(payload=payload))
-            assert server.matcher.match(query_uid, 3) == before
+            payload = store.get(churn_uid)
+            store.remove(churn_uid)
+            store.put(payload)
+            assert matcher.match(query_uid, 3) == before
 
     def test_generation_advances_on_churn(self, enrolled, order_method):
-        server, uploads = _loaded(enrolled, order_method)
-        _, members = max(server.store.groups(), key=lambda p: len(p[1]))
+        store, matcher, uploads = _loaded(enrolled, order_method)
+        _, members = max(store.groups(), key=lambda p: len(p[1]))
         ids = iter(members)
         query_uid, churn_uid = next(ids), next(ids)
-        server.matcher.match(query_uid, 3)  # build the group index
-        first = server.matcher.group_generation(query_uid)
-        payload = server.store.get(churn_uid)
-        server.store.remove(churn_uid)
-        server.handle_upload(UploadMessage(payload=payload))
-        assert server.matcher.group_generation(query_uid) > first
+        matcher.match(query_uid, 3)  # build the group index
+        first = matcher.group_generation(query_uid)
+        payload = store.get(churn_uid)
+        store.remove(churn_uid)
+        store.put(payload)
+        assert matcher.group_generation(query_uid) > first
 
 
 class TestDeadGroupEviction:
     def test_emptied_group_leaves_the_index(self, enrolled):
-        server, uploads = _loaded(enrolled, "rank")
-        key_index, members = min(
-            server.store.groups(), key=lambda p: len(p[1])
-        )
+        store, matcher, uploads = _loaded(enrolled, "rank")
+        key_index, members = min(store.groups(), key=lambda p: len(p[1]))
         # force the group into the index, then drain it
-        server.matcher._group_index(key_index)
-        assert key_index in server.matcher._groups
+        matcher._group_index(key_index)
+        assert key_index in matcher._groups
         for member in list(members):
-            server.store.remove(member)
-        assert key_index not in server.matcher._groups
+            store.remove(member)
+        assert key_index not in matcher._groups
 
     def test_cold_groups_never_enter_the_index(self, enrolled):
-        server, uploads = _loaded(enrolled, "rank")
-        assert server.matcher._groups == {}
+        store, matcher, uploads = _loaded(enrolled, "rank")
+        assert matcher._groups == {}
         uid = next(iter(uploads))
-        server.store.remove(uid)
-        assert server.matcher._groups == {}
+        store.remove(uid)
+        assert matcher._groups == {}
 
 
 class TestListenerLifecycle:
@@ -113,19 +109,31 @@ class TestListenerLifecycle:
         store.put(next(iter(uploads.values())))
         assert store._live_listeners() == []
 
+    def test_resubscribe_is_idempotent(self, enrolled):
+        store, matcher, _ = _loaded(enrolled, "rank")
+        for _ in range(3):
+            store.add_listener(matcher)
+        _, members = max(store.groups(), key=lambda p: len(p[1]))
+        if len(members) < 2:
+            pytest.skip("no multi-member group in this population")
+        uid_query, uid_remove = sorted(members)[:2]
+        matcher.match(uid_query, 3)  # warm the group index
+        before = matcher.group_generation(uid_query)
+        # one mutation must land exactly one event — double subscription
+        # would double-deliver and bump the generation twice
+        store.remove(uid_remove)
+        assert matcher.group_generation(uid_query) == before + 1
+
     def test_replacement_within_group_updates_index(self, enrolled):
-        scheme, users, uploads, keys = enrolled
-        server = SMatchServer(query_k=3)
-        for payload in uploads.values():
-            server.handle_upload(UploadMessage(payload=payload))
-        _, members = max(server.store.groups(), key=lambda p: len(p[1]))
+        store, matcher, uploads = _loaded(enrolled, "rank")
+        _, members = max(store.groups(), key=lambda p: len(p[1]))
         ids = iter(members)
         query_uid, other_uid = next(ids), next(ids)
-        server.matcher.match(query_uid, 3)  # warm the index
+        matcher.match(query_uid, 3)  # warm the index
         # re-upload (same uid, same group) must be folded in as
         # remove-then-add, keeping the index equal to a fresh rebuild
-        server.handle_upload(UploadMessage(payload=uploads[other_uid]))
-        fresh = ServerMatcher(server.store, order_method="rank")
-        assert server.matcher.match(query_uid, 3) == fresh.match(
+        store.put(uploads[other_uid])
+        fresh = ServerMatcher(store, order_method="rank")
+        assert matcher.match(query_uid, 3) == fresh.match(
             query_uid, 3
         )

@@ -68,7 +68,7 @@ class TestModular:
         assert lcm(0, 5) == 0
 
     def test_modexp_counts_op(self):
-        from repro.utils.instrument import counting
+        from repro.obs.instrument import counting
 
         with counting() as c:
             assert modexp(2, 10, 1000) == 24
@@ -147,7 +147,7 @@ class TestSchnorrGroup:
             assert g.power_of_g(e) == pow(4, e, 1019)
 
     def test_power_of_g_counts_one_modexp(self):
-        from repro.utils.instrument import counting
+        from repro.obs.instrument import counting
 
         g = SchnorrGroup.default()
         with counting() as c:

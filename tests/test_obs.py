@@ -44,7 +44,7 @@ from repro.obs.trace import (
     span,
     tracing,
 )
-from repro.utils.instrument import count_op
+from repro.obs.instrument import count_op
 
 
 @pytest.fixture(autouse=True)

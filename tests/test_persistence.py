@@ -1,17 +1,22 @@
-"""Tests for server-store persistence."""
+"""Tests for server-state persistence.
+
+The server's on-disk state is the durable tier's per-shard snapshot chain
+plus write-ahead log (:mod:`repro.server.sharding`).  These tests pin the
+snapshot codec's round trip, its corruption handling, and a server that
+is closed, reopened from disk and churned.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import PersistenceError
 from repro.net.messages import QueryRequest, UploadMessage
-from repro.server.persistence import (
-    dump_store_bytes,
-    load_store,
-    load_store_bytes,
-    save_store,
-)
+from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
+from repro.server.sharding.snapshot import load_snapshot, write_snapshot
 from repro.server.storage import ProfileStore
+from repro.utils.serial import FieldReader, FieldWriter
 
 
 @pytest.fixture
@@ -23,67 +28,76 @@ def loaded_store(enrolled):
     return store
 
 
+def _save(store, directory):
+    """Write ``store`` as one full snapshot; returns its path."""
+    groups = {key_index: members for key_index, members in store.groups()}
+    return write_snapshot(directory, 1, 0, True, groups, ())
+
+
+def _restore(path):
+    restored = ProfileStore()
+    for members in load_snapshot(path).groups.values():
+        for payload in members.values():
+            restored.put(payload)
+    return restored
+
+
+def _query(server, uid, query_id=1):
+    return server.handle_query(
+        QueryRequest(query_id=query_id, timestamp=0, user_id=uid)
+    )
+
+
 class TestRoundtrip:
-    def test_bytes_roundtrip(self, loaded_store):
-        restored = load_store_bytes(dump_store_bytes(loaded_store))
+    def test_bytes_roundtrip(self, loaded_store, tmp_path):
+        restored = _restore(_save(loaded_store, tmp_path))
         assert len(restored) == len(loaded_store)
         assert restored.group_sizes() == loaded_store.group_sizes()
         for uid, payload in loaded_store.all_profiles().items():
             assert restored.get(uid) == payload
 
     def test_file_roundtrip(self, loaded_store, tmp_path):
-        path = tmp_path / "store.bin"
-        written = save_store(loaded_store, path)
-        assert path.stat().st_size == written
-        restored = load_store(path)
+        path = _save(loaded_store, tmp_path)
+        assert path.name == "snap-00000001.bin"
+        assert not path.with_name(path.name + ".tmp").exists()
+        restored = _restore(path)
         assert restored.all_profiles() == loaded_store.all_profiles()
 
-    def test_empty_store(self):
-        restored = load_store_bytes(dump_store_bytes(ProfileStore()))
-        assert len(restored) == 0
+    def test_empty_store(self, tmp_path):
+        assert len(_restore(_save(ProfileStore(), tmp_path))) == 0
 
     def test_restored_server_answers_queries(self, enrolled, tmp_path):
-        scheme, users, uploads, keys = enrolled
-        server = SMatchServer(query_k=3)
+        _, users, uploads, _ = enrolled
+        server = SMatchServer(query_k=3, data_dir=tmp_path)
         for payload in uploads.values():
             server.handle_upload(UploadMessage(payload=payload))
-        path = tmp_path / "state.bin"
-        save_store(server.store, path)
+        uids = [user.profile.user_id for user in users]
+        original = [_query(server, uid).encode() for uid in uids]
+        server.close()
 
-        fresh = SMatchServer(query_k=3)
-        fresh.store = load_store(path)
-        from repro.server.matcher import ServerMatcher
-
-        fresh.matcher = ServerMatcher(fresh.store)
-        uid = users[0].profile.user_id
-        original = server.handle_query(
-            QueryRequest(query_id=1, timestamp=0, user_id=uid)
-        )
-        restored = fresh.handle_query(
-            QueryRequest(query_id=1, timestamp=0, user_id=uid)
-        )
-        assert {e.user_id for e in original.entries} == {
-            e.user_id for e in restored.entries
-        }
+        with SMatchServer(query_k=3, data_dir=tmp_path) as fresh:
+            assert [_query(fresh, uid).encode() for uid in uids] == original
 
 
 class TestCorruption:
-    def test_bad_magic(self):
-        with pytest.raises(ProtocolError):
-            load_store_bytes(b"\x00\x00\x00\x04junk")
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "snap-00000001.bin"
+        path.write_bytes(b"\x00\x00\x00\x04junk")
+        with pytest.raises(PersistenceError):
+            load_snapshot(path)
 
-    def test_flipped_payload_bit_detected(self, loaded_store):
-        data = bytearray(dump_store_bytes(loaded_store))
+    def test_flipped_payload_bit_detected(self, loaded_store, tmp_path):
+        path = _save(loaded_store, tmp_path)
+        data = bytearray(path.read_bytes())
         data[-1] ^= 0x01
-        with pytest.raises(ProtocolError):
-            load_store_bytes(bytes(data))
+        path.write_bytes(bytes(data))
+        with pytest.raises(PersistenceError):
+            load_snapshot(path)
 
-    def test_wrong_version(self, loaded_store):
-        data = dump_store_bytes(loaded_store)
-        # version field follows the magic field; rewrite it
-        from repro.utils.serial import FieldReader, FieldWriter
-
-        reader = FieldReader(data)
+    def test_wrong_version(self, loaded_store, tmp_path):
+        path = _save(loaded_store, tmp_path)
+        # the format version follows the magic field; rewrite it
+        reader = FieldReader(path.read_bytes())
         magic = reader.read_bytes()
         reader.read_int()
         digest = reader.read_bytes()
@@ -93,99 +107,55 @@ class TestCorruption:
         w.write_int(99)
         w.write_bytes(digest)
         w.write_bytes(payload)
-        with pytest.raises(ProtocolError):
-            load_store_bytes(w.getvalue())
+        path.write_bytes(w.getvalue())
+        with pytest.raises(PersistenceError):
+            load_snapshot(path)
 
-    def test_truncated_file(self, loaded_store):
-        data = dump_store_bytes(loaded_store)
-        with pytest.raises(ProtocolError):
-            load_store_bytes(data[: len(data) // 2])
+    def test_truncated_file(self, loaded_store, tmp_path):
+        path = _save(loaded_store, tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(PersistenceError):
+            load_snapshot(path)
 
 
-class TestMatcherAttach:
-    """save -> load -> attach -> churn -> query (the re-bind satellite)."""
+class TestReopen:
+    """close -> reopen from disk -> churn -> query."""
 
-    @staticmethod
-    def _crowded_group(store):
-        for key_index, members in store.groups():
-            if len(members) >= 3:
-                return key_index, members
-        pytest.skip("population produced no group with 3+ members")
-
-    def test_save_load_attach_churn_query(self, enrolled, tmp_path):
-        import dataclasses
-
-        from repro.server.matcher import ServerMatcher
-
-        _, _, uploads, _ = enrolled
-        server = SMatchServer(query_k=3)
-        for payload in uploads.values():
-            server.handle_upload(UploadMessage(payload=payload))
-        path = tmp_path / "state.bin"
-        save_store(server.store, path)
-
-        # reload and RE-BIND the existing matcher instead of rebuilding it
-        server.store = load_store(path)
-        server.matcher.attach(server.store)
-
-        _, members = self._crowded_group(server.store)
-        uid_query, uid_remove, uid_drift = sorted(members)[:3]
-        # warm the group index, then churn through the re-attached store
-        server.handle_query(
-            QueryRequest(query_id=1, timestamp=0, user_id=uid_query)
-        )
-        server.store.remove(uid_remove)
-        drifted = dataclasses.replace(
-            members[uid_drift],
-            chain=tuple(c + 1 for c in members[uid_drift].chain),
-        )
-        server.store.put(drifted)
-        churned = server.handle_query(
-            QueryRequest(query_id=2, timestamp=0, user_id=uid_query)
-        )
-
-        # oracle: a cold matcher over the same final contents
-        oracle_store = ProfileStore()
-        for payload in server.store.all_profiles().values():
-            oracle_store.put(payload)
-        oracle = ServerMatcher(oracle_store)
-        assert [e.user_id for e in churned.entries] == oracle.match(
-            uid_query, 3
-        )
-        assert uid_remove not in {e.user_id for e in churned.entries}
-
-    def test_reattach_same_store_is_idempotent(self, loaded_store):
-        from repro.server.matcher import ServerMatcher
-
-        matcher = ServerMatcher(loaded_store)
-        for _ in range(3):
-            matcher.attach(loaded_store)
-        _, members = self._crowded_group(loaded_store)
-        uid_query, uid_remove = sorted(members)[:2]
-        matcher.match(uid_query, 3)  # warm the group index
-        before = matcher.group_generation(uid_query)
-        # one mutation must land exactly one event — double subscription
-        # would double-deliver and bump the generation twice
-        loaded_store.remove(uid_remove)
-        assert matcher.group_generation(uid_query) == before + 1
-
-    def test_attach_new_store_drops_stale_indexes(self, enrolled):
-        from repro.server.matcher import ServerMatcher
-
+    def test_reopen_churn_query(self, enrolled, tmp_path):
         _, _, uploads, _ = enrolled
         store = ProfileStore()
         for payload in uploads.values():
             store.put(payload)
-        matcher = ServerMatcher(store)
-        _, members = self._crowded_group(store)
-        uid_query, uid_gone = sorted(members)[:2]
-        matcher.match(uid_query, 3)  # warm against the old store
+        members = next(
+            (members for _, members in store.groups() if len(members) >= 3),
+            None,
+        )
+        if members is None:
+            pytest.skip("population produced no group with 3+ members")
+        uid_query, uid_remove, uid_drift = sorted(members)[:3]
 
-        replacement = load_store_bytes(dump_store_bytes(store))
-        replacement.remove(uid_gone)
-        matcher.attach(replacement)
-        assert uid_gone not in matcher.match(uid_query, 3)
-        # and events from the new store flow to the re-attached matcher
-        generation_probe = matcher.group_generation(uid_query)
-        replacement.remove(sorted(replacement.group_of(uid_query))[-1])
-        assert matcher.group_generation(uid_query) != generation_probe
+        server = SMatchServer(query_k=3, data_dir=tmp_path)
+        for payload in uploads.values():
+            server.handle_upload(UploadMessage(payload=payload))
+        _query(server, uid_query)  # warm the group index before closing
+        server.close()
+
+        with SMatchServer(query_k=3, data_dir=tmp_path) as reopened:
+            _query(reopened, uid_query)
+            reopened.tier.remove(uid_remove)
+            drifted = dataclasses.replace(
+                members[uid_drift],
+                chain=tuple(c + 1 for c in members[uid_drift].chain),
+            )
+            reopened.handle_upload(UploadMessage(payload=drifted))
+            churned = _query(reopened, uid_query, query_id=2)
+
+        # oracle: a cold matcher over the same final contents
+        store.remove(uid_remove)
+        store.put(drifted)
+        oracle = ServerMatcher(store)
+        assert [e.user_id for e in churned.entries] == oracle.match(
+            uid_query, 3
+        )
+        assert uid_remove not in {e.user_id for e in churned.entries}

@@ -28,27 +28,32 @@ def big_world():
     scheme = build_scheme(WEIBO, schema=pop.schema, seed=888)
     server = SMatchServer(query_k=5)
     keys = {}
+    uploads = {}
     for user in users:
         payload, key = scheme.enroll(user.profile)
         keys[user.profile.user_id] = key
+        uploads[user.profile.user_id] = payload
         server.handle_upload(UploadMessage(payload=payload))
-    return pop, users, scheme, server, keys
+    return pop, users, scheme, server, keys, uploads
 
 
 class TestScale:
     def test_everyone_enrolled(self, big_world):
-        _, users, _, server, _ = big_world
-        assert len(server.store) == NUM_USERS
+        _, users, _, server, _, _ = big_world
+        assert len(server.tier) == NUM_USERS
 
     def test_group_structure(self, big_world):
-        _, _, _, server, _ = big_world
-        sizes = server.store.group_sizes()
+        _, _, _, server, _, _ = big_world
+        sizes = sorted(
+            (s for sizes in server.tier.shard_sizes().values() for s in sizes),
+            reverse=True,
+        )
         assert sum(sizes) == NUM_USERS
         # clusters are capped at 6 in generation; merged groups stay small
         assert sizes[0] <= 30
 
     def test_queries_at_scale(self, big_world):
-        _, users, scheme, server, keys = big_world
+        _, users, scheme, server, keys, _ = big_world
         sampled = users[:: max(1, NUM_USERS // 40)]
         verified_total = 0
         for user in sampled:
@@ -63,7 +68,7 @@ class TestScale:
 
     def test_warm_queries_fast(self, big_world):
         """Cached group orders make repeat queries cheap (O(log V))."""
-        _, users, _, server, _ = big_world
+        _, users, _, server, _, _ = big_world
         uid = users[0].profile.user_id
         request = QueryRequest(query_id=1, timestamp=0, user_id=uid)
         server.handle_query(request)  # warm the cache
@@ -76,8 +81,7 @@ class TestScale:
     def test_collusion_advantage_small_at_scale(self, big_world):
         from repro.attacks.games import PrKkGame
 
-        _, users, _, server, keys = big_world
-        uploads = server.store.all_profiles()
+        _, users, _, _, keys, uploads = big_world
         game = PrKkGame(uploads, keys)
         uid = users[0].profile.user_id
         assert game.play(uid).advantage <= 0.1  # m << N (Theorem 2 regime)

@@ -100,33 +100,12 @@ class TestSeededDeterminism:
         pop, profiles = population
         scheme = _fresh_scheme(pop)
         with pytest.raises(ParameterError):
-            scheme.enroll_population(profiles, workers=0)
-        with pytest.raises(ParameterError):
             scheme.enroll_population(profiles, chunk_size=0)
         with pytest.raises(ParameterError):
             scheme.enroll_population(profiles, backend="vectorized")
 
-    def test_workers_shim_warns_and_matches_backend_path(self, population):
-        pop, profiles = population
-        with pytest.warns(DeprecationWarning):
-            legacy = _fresh_scheme(pop).enroll_population(
-                profiles, workers=4, seed=77
-            )
-        modern = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(4), seed=77
-        )
-        _assert_same_enrollment(legacy, modern)
-
-    def test_workers_and_backend_are_mutually_exclusive(self, population):
-        pop, profiles = population
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ParameterError):
-                _fresh_scheme(pop).enroll_population(
-                    profiles, backend="serial", workers=2, seed=1
-                )
-
     def test_legacy_sequential_path_unchanged(self, population):
-        # workers=1 without a seed must keep drawing from the instance RNG
+        # no backend and no seed must keep drawing from the instance RNG
         # exactly as the pre-batching loop did
         pop, profiles = population
         batch = _fresh_scheme(pop).enroll_population(profiles)

@@ -20,6 +20,17 @@ def loaded_server(enrolled):
     return server, scheme, users, uploads, keys
 
 
+@pytest.fixture
+def loaded_engine(enrolled):
+    """The enrolled uploads in a bare store + matcher pair."""
+    _, _, uploads, _ = enrolled
+    store = ProfileStore()
+    matcher = ServerMatcher(store)
+    for payload in uploads.values():
+        store.put(payload)
+    return store, matcher, uploads
+
+
 class TestStorage:
     def test_put_get(self, enrolled):
         _, _, uploads, _ = enrolled
@@ -98,53 +109,48 @@ class TestStorage:
 
 
 class TestMatcher:
-    def test_match_returns_group_members(self, loaded_server):
-        server, _, _, uploads, _ = loaded_server
-        sizes = server.store.group_sizes()
+    def test_match_returns_group_members(self, loaded_engine):
+        store, matcher, _ = loaded_engine
         # pick a user in the biggest group
-        biggest = max(
-            (g for _, g in server.store.groups()), key=len
-        )
+        biggest = max((g for _, g in store.groups()), key=len)
         if len(biggest) < 3:
             pytest.skip("no group big enough")
         uid = next(iter(biggest))
-        result = server.matcher.match(uid, 2)
+        result = matcher.match(uid, 2)
         assert len(result) == 2
         assert set(result) <= set(biggest) - {uid}
 
-    def test_singleton_group_empty_result(self, loaded_server):
-        server, _, _, _, _ = loaded_server
-        singles = [
-            next(iter(g)) for _, g in server.store.groups() if len(g) == 1
-        ]
+    def test_singleton_group_empty_result(self, loaded_engine):
+        store, matcher, _ = loaded_engine
+        singles = [next(iter(g)) for _, g in store.groups() if len(g) == 1]
         if not singles:
             pytest.skip("no singleton groups")
-        assert server.matcher.match(singles[0], 5) == []
+        assert matcher.match(singles[0], 5) == []
 
-    def test_unknown_user_raises(self, loaded_server):
-        server, _, _, _, _ = loaded_server
+    def test_unknown_user_raises(self, loaded_engine):
+        _, matcher, _ = loaded_engine
         with pytest.raises(MatchingError):
-            server.matcher.match(987654, 3)
+            matcher.match(987654, 3)
 
-    def test_cache_consistency(self, loaded_server):
-        server, _, _, uploads, _ = loaded_server
+    def test_cache_consistency(self, loaded_engine):
+        _, matcher, uploads = loaded_engine
         uid = next(iter(uploads))
-        first = server.matcher.match(uid, 3)
-        second = server.matcher.match(uid, 3)  # cached sort
-        server.matcher.invalidate()
-        third = server.matcher.match(uid, 3)  # cold sort
+        first = matcher.match(uid, 3)
+        second = matcher.match(uid, 3)  # cached sort
+        matcher.invalidate()
+        third = matcher.match(uid, 3)  # cold sort
         assert first == second == third
 
-    def test_match_within(self, loaded_server):
-        server, _, _, uploads, _ = loaded_server
-        biggest = max((g for _, g in server.store.groups()), key=len)
+    def test_match_within(self, loaded_engine):
+        store, matcher, _ = loaded_engine
+        biggest = max((g for _, g in store.groups()), key=len)
         if len(biggest) < 2:
             pytest.skip("no group big enough")
         uid = next(iter(biggest))
-        everyone = server.matcher.match_within(uid, 10**12)
+        everyone = matcher.match_within(uid, 10**12)
         assert set(everyone) == set(biggest) - {uid}
         with pytest.raises(ParameterError):
-            server.matcher.match_within(uid, -1)
+            matcher.match_within(uid, -1)
 
     def test_invalid_order_method(self):
         with pytest.raises(ParameterError):
@@ -168,7 +174,11 @@ class TestService:
         """A MAX-distance request returns the whole group at huge radius."""
         server, _, users, uploads, _ = loaded_server
         uid = users[0].profile.user_id
-        group = server.store.group_of(uid)
+        group = {
+            other
+            for other, payload in uploads.items()
+            if payload.key_index == uploads[uid].key_index
+        }
         result = server.handle_query(
             QueryRequest(
                 query_id=9, timestamp=0, user_id=uid, max_distance=10**12

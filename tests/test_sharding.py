@@ -1,10 +1,11 @@
 """Tests for the sharded, durable server tier (repro.server.sharding).
 
 Covers the four layers bottom-up — placement ring, WAL, snapshot chain,
-shard state — then the coordinator-level contracts the ISSUE pins: the
-cross-shard equivalence matrix (legacy store vs shards=1 vs shards=N vs
-process-backed shards, byte-identical ``QueryResult`` encodings) and
-kill-a-shard-mid-churn crash recovery against an unsharded oracle.
+shard state — then the coordinator-level contracts: the cross-shard
+equivalence matrix (a bare store + matcher reference vs shards=1 vs
+shards=N vs process-backed shards vs a durable reopen, byte-identical
+``QueryResult`` encodings) and kill-a-shard-mid-churn crash recovery
+against that reference.
 """
 
 import dataclasses
@@ -19,8 +20,13 @@ from repro.errors import (
     ProtocolError,
     WorkerCrashError,
 )
-from repro.net.messages import QueryRequest, QueryResult, UploadMessage
-from repro.server.persistence import dump_store_bytes, load_store_bytes
+from repro.net.messages import (
+    QueryRequest,
+    QueryResult,
+    ResultEntry,
+    UploadMessage,
+)
+from repro.server.matcher import ServerMatcher
 from repro.server.service import SMatchServer
 from repro.server.sharding import (
     PlacementMap,
@@ -383,21 +389,36 @@ def _churn_workload(payloads):
     return ops, remaining
 
 
+def _reference_entries(store, matcher, uid, k=3, max_distance=None):
+    """A single store + matcher's answer: the engine the tier shards."""
+    try:
+        if max_distance is not None:
+            ids = matcher.match_within(uid, max_distance)
+        else:
+            ids = matcher.match(uid, k)
+    except MatchingError:
+        ids = []  # unknown user or singleton group: empty result
+    return tuple(ResultEntry(user_id=u, auth=store.get(u).auth) for u in ids)
+
+
 def _legacy_results(payloads, k=3):
-    server = SMatchServer(query_k=k)
+    """The churn workload's encoded results from the reference engine."""
+    store = ProfileStore()
+    matcher = ServerMatcher(store)
     ops, remaining = _churn_workload(payloads)
     for op in ops:
         if op[0] == "put":
-            server.handle_upload(UploadMessage(payload=op[1]))
+            store.put(op[1])
         else:
-            server.store.remove(op[1])
-    out = {}
-    for uid in remaining:
-        result = server.handle_query(
-            QueryRequest(query_id=uid, timestamp=3, user_id=uid)
-        )
-        out[uid] = result.encode()
-    return out
+            store.remove(op[1])
+    return {
+        uid: QueryResult(
+            query_id=uid,
+            timestamp=3,
+            entries=_reference_entries(store, matcher, uid, k=k),
+        ).encode()
+        for uid in remaining
+    }
 
 
 def _tier_results(tier, payloads, k=3):
@@ -460,6 +481,22 @@ class TestEquivalenceMatrix:
                     ).encode()
                     == oracle[uid]
                 )
+
+    def test_default_server_matches_reference(self, payloads, oracle):
+        # SMatchServer() is a one-shard inline tier behind handle_message
+        with SMatchServer(query_k=3) as server:
+            ops, remaining = _churn_workload(payloads)
+            for op in ops:
+                if op[0] == "put":
+                    server.handle_message(UploadMessage(payload=op[1]))
+                else:
+                    server.tier.remove(op[1])
+            assert server.tier.shards == 1
+            for uid in remaining:
+                result = server.handle_message(
+                    QueryRequest(query_id=uid, timestamp=3, user_id=uid)
+                )
+                assert result.encode() == oracle[uid]
 
     def test_sharded_server_behind_handle_message(self, payloads, oracle):
         with SMatchServer(query_k=3, shards=3, shard_mode="inline") as server:
@@ -590,16 +627,18 @@ class TestTierLifecycle:
             with pytest.raises(MatchingError):
                 tier.remove(999_999)
 
-    def test_export_import_bridges_the_blob_path(self, payloads):
-        with ShardedTier(shards=3, mode="inline") as tier:
-            tier.put_batch(payloads)
-            blob = dump_store_bytes(tier.export_store())
-        restored = load_store_bytes(blob)
-        with ShardedTier(shards=2, mode="inline") as fresh:
-            fresh.import_profiles(list(restored.all_profiles().values()))
-            assert len(fresh) == len(payloads)
-            total = sum(sum(s) for s in fresh.shard_sizes().values())
+    def test_import_profiles_matches_uploads(self, payloads):
+        uids = [p.user_id for p in payloads]
+        with ShardedTier(shards=3, mode="inline") as uploaded:
+            for payload in payloads:
+                uploaded.put(payload)
+            expected = {uid: uploaded.query(uid, k=3) for uid in uids}
+        with ShardedTier(shards=2, mode="inline") as imported:
+            imported.import_profiles(payloads)
+            assert len(imported) == len(payloads)
+            total = sum(sum(s) for s in imported.shard_sizes().values())
             assert total == len(payloads)
+            assert {uid: imported.query(uid, k=3) for uid in uids} == expected
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -608,19 +647,85 @@ class TestTierLifecycle:
             ShardedTier(shards=1, mode="quantum")
 
     def test_max_distance_queries_route_too(self, payloads):
-        legacy = SMatchServer(query_k=3)
+        store = ProfileStore()
+        matcher = ServerMatcher(store)
         for payload in payloads:
-            legacy.handle_upload(UploadMessage(payload=payload))
+            store.put(payload)
         with ShardedTier(shards=3, mode="inline") as tier:
             tier.put_batch(payloads)
             for payload in payloads[:8]:
-                request = QueryRequest(
-                    query_id=1,
-                    timestamp=0,
-                    user_id=payload.user_id,
-                    max_distance=4,
+                assert tier.query(
+                    payload.user_id, max_distance=4
+                ) == _reference_entries(
+                    store, matcher, payload.user_id, max_distance=4
                 )
-                assert (
-                    tier.query(payload.user_id, max_distance=4)
-                    == legacy.handle_query(request).entries
-                )
+
+
+# -- fsync discipline ----------------------------------------------------------
+
+
+@pytest.fixture
+def sync_log(monkeypatch):
+    """Every ``os.fsync`` (by inode) and ``os.replace`` (by target name)."""
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+class TestFsync:
+    def test_placement_synced_before_and_after_its_rename(
+        self, payloads, tmp_path, sync_log
+    ):
+        tier = ShardedTier(
+            shards=2, mode="inline", data_dir=tmp_path, fsync=False
+        )
+        tier.put_batch(payloads)
+        tier.rebalance(3)
+        tier.close()
+        file_inode = (tmp_path / "placement.bin").stat().st_ino
+        dir_inode = tmp_path.stat().st_ino
+        renames = [
+            n for n, event in enumerate(sync_log)
+            if event == ("replace", "placement.bin")
+        ]
+        assert len(renames) == 2  # the initial map and the rebalanced one
+        last = renames[-1]
+        assert ("fsync", file_inode) in sync_log[renames[0] + 1 : last]
+        assert sync_log[last + 1] == ("fsync", dir_inode)
+
+    def test_new_wal_segment_syncs_its_directory(self, tmp_path, sync_log):
+        dir_inode = tmp_path.stat().st_ino
+        ShardWal(tmp_path / "wal-00000000.log", fsync=True).close()
+        assert sync_log == [("fsync", dir_inode)]
+        sync_log.clear()
+        # reopening an existing segment creates no directory entry
+        ShardWal(tmp_path / "wal-00000000.log", fsync=True).close()
+        assert sync_log == []
+        # and fsync=False never syncs, new segment or not
+        ShardWal(tmp_path / "wal-00000001.log", fsync=False).close()
+        assert sync_log == []
+
+    def test_snapshot_rotation_syncs_the_new_segment(
+        self, payloads, tmp_path, sync_log
+    ):
+        state = ShardState(0, directory=tmp_path, fsync=True)
+        state.apply_ops([("put", p) for p in payloads[:3]])
+        sync_log.clear()
+        state.snapshot_now()
+        state.close()
+        dir_inode = tmp_path.stat().st_ino
+        rename = sync_log.index(("replace", "snap-00000001.bin"))
+        # the snapshot rename and the new WAL segment each sync the directory
+        assert sync_log[rename + 1] == ("fsync", dir_inode)
+        assert sync_log[rename + 2 :].count(("fsync", dir_inode)) == 1

@@ -44,7 +44,7 @@ class TestLifecycle:
         sim = MobileServiceSimulation(
             INFOCOM06, SimConfig(num_users=10, steps=1, seed=8)
         )
-        assert len(sim.server.store) == 10
+        assert len(sim.server.tier) == 10
 
     def test_history_length(self, finished_sim):
         assert len(finished_sim.history) == 8
@@ -84,12 +84,18 @@ class TestLifecycle:
 
 
 class TestRestartRecovery:
-    def test_simulation_survives_server_restart(self):
-        """Mid-run, persist the store, 'restart' the server, continue."""
-        from repro.server.matcher import ServerMatcher
-        from repro.server.persistence import dump_store_bytes, load_store_bytes
+    def test_simulation_survives_server_restart(self, monkeypatch, tmp_path):
+        """Mid-run, close the durable server, reopen it from disk, continue."""
+        import functools
+
+        import repro.sim.simulation as simulation
         from repro.server.service import SMatchServer
 
+        monkeypatch.setattr(
+            simulation,
+            "SMatchServer",
+            functools.partial(SMatchServer, data_dir=tmp_path),
+        )
         sim = MobileServiceSimulation(
             INFOCOM06,
             SimConfig(
@@ -101,17 +107,17 @@ class TestRestartRecovery:
             ),
         )
         sim.step()
-        snapshot = dump_store_bytes(sim.server.store)
-
-        restarted = SMatchServer(query_k=sim.config.query_k)
-        restarted.store = load_store_bytes(snapshot)
-        restarted.matcher = ServerMatcher(restarted.store)
-        sim.server = restarted
+        sim.server.close()
+        # the restart recovers from the WAL and snapshots alone
+        sim.server = SMatchServer(
+            query_k=sim.config.query_k, data_dir=tmp_path
+        )
+        assert len(sim.server.tier) == 15
 
         sim.step()
         sim.step()
+        sim.server.close()
         assert len(sim.history) == 3
-        assert len(sim.server.store) == 15
 
 
 class TestDrift:

@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.utils.instrument import (
+from repro.obs.instrument import (
     OpCounter,
     count_op,
     counting,
