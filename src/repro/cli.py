@@ -17,7 +17,7 @@ Gives the reproduction a front door:
 
 ``simulate`` and ``experiment`` accept ``--obs`` (and ``--obs-dir DIR``) to
 record a structured trace and metrics snapshot of the run, and
-``--backend serial|thread|process`` (default: the ``SMATCH_BACKEND``
+``--backend serial|process`` (default: the ``SMATCH_BACKEND``
 environment variable) to pick the execution backend bulk work runs on —
 see docs/PERFORMANCE.md, "Execution backends".
 """
@@ -189,6 +189,8 @@ def _add_trace_source(
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.parallel import BACKEND_NAMES
+
     parser.add_argument(
         "--obs",
         action="store_true",
@@ -202,7 +204,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=["serial", "thread", "process"],
+        choices=BACKEND_NAMES,
         help="execution backend for bulk enrollment/matching work "
         "(default: $SMATCH_BACKEND, else serial)",
     )
@@ -210,7 +212,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "--backend-workers",
         type=int,
         default=None,
-        help="worker count for thread/process backends (default: cpu count)",
+        help="worker count for the process backend (default: cpu count)",
     )
 
 

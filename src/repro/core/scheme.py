@@ -392,14 +392,13 @@ class SMatch:
         """Enroll many users; returns (uploads by id, keys by id).
 
         ``backend`` selects the execution substrate (:mod:`repro.parallel`):
-        a backend name (``"serial"``/``"thread"``/``"process"``) or instance.
+        a backend name (``"serial"``/``"process"``) or instance.
         ``backend=None`` falls back to the process default
         (:func:`repro.parallel.default_backend`, i.e. the ``SMATCH_BACKEND``
         env / CLI ``--backend`` flag), else the legacy sequential path.
-        Enrollment is OPRF-modexp-bound pure-Python compute, so only the
-        **process** backend buys wall-clock speedup — thread workers stay
-        GIL-serialized and exist for determinism testing and API symmetry
-        (see docs/PERFORMANCE.md, "Execution backends").
+        Enrollment is OPRF-modexp-bound pure-Python compute, so only worker
+        processes buy wall-clock speedup (see docs/PERFORMANCE.md,
+        "Execution backends").
 
         Each profile is enrolled under its own randomness source whose seed
         is a pure function of ``(seed, user_id)`` (:func:`profile_enroll_seed`),
@@ -469,9 +468,9 @@ class SMatch:
             fn=enroll_chunk,
             context=self._enroll_spec,
             label="scheme.enroll_population",
-            # process backends move the EncryptedProfile payloads through
-            # the shared-memory result arena (wire codec, lazy views)
-            # instead of the future-result pickle; other backends ignore it
+            # the process backend moves the EncryptedProfile payloads
+            # through the shared-memory result arena (wire codec, lazy
+            # views) instead of the future-result pickle; serial ignores it
             shm_results=True,
         )
         for chunk_result in exec_backend.map_chunks(envelope, chunks):

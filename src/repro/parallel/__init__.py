@@ -1,6 +1,6 @@
 """Pluggable execution backends for CPU-bound bulk work.
 
-See :mod:`repro.parallel.backend` for the backend protocol and the three
+See :mod:`repro.parallel.backend` for the backend protocol and its two
 implementations, :mod:`repro.parallel.tasks` for the picklable task
 envelopes wired into the enrollment / OPRF / matching hot paths, and
 :mod:`repro.parallel.arena` for the shared-memory result transport the
@@ -9,11 +9,8 @@ process backend uses to move wire-encodable results without pickling them.
 
 from repro.parallel.arena import (
     ArenaWriter,
-    ContextHandle,
-    ContextSegment,
     LazyWireRecord,
     ResultArena,
-    ShmContext,
     register_wire_codec,
 )
 from repro.parallel.backend import (
@@ -22,7 +19,6 @@ from repro.parallel.backend import (
     ProcessBackend,
     SerialBackend,
     TaskEnvelope,
-    ThreadBackend,
     balanced_chunk_size,
     default_backend,
     partition_chunks,
@@ -41,18 +37,14 @@ __all__ = [
     "ArenaWriter",
     "BACKEND_NAMES",
     "BulkMatchContext",
-    "ContextHandle",
-    "ContextSegment",
     "EnrollSpec",
     "LazyWireRecord",
     "ResultArena",
-    "ShmContext",
     "register_wire_codec",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
     "TaskEnvelope",
-    "ThreadBackend",
     "balanced_chunk_size",
     "bulk_match_chunk",
     "default_backend",

@@ -31,23 +31,17 @@ Values with no registered codec — or records that would overflow their slot
 — **fall back to pickle transparently**: ``put_record`` simply returns the
 original object (which then rides the ordinary future-result pickle) and
 counts the event via ``smatch_parallel_shm_fallbacks_total``.
-
-:class:`ContextSegment` is the companion for the *inbound* direction: it
-ships one frozen task context (e.g. the matcher's ``BulkMatchContext``) as
-a single shared segment that each worker decodes once at pool warm-start,
-instead of the parent re-serializing it into every worker pipe.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import threading
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ParallelError, ParameterError, WorkerCrashError
+from repro.errors import ParameterError, WorkerCrashError
 from repro.obs.metrics import (
     M_PARALLEL_SHM_BYTES,
     M_PARALLEL_SHM_FALLBACKS,
@@ -61,11 +55,8 @@ from repro.obs.trace import span
 __all__ = [
     "ArenaRef",
     "ArenaWriter",
-    "ContextHandle",
-    "ContextSegment",
     "LazyWireRecord",
     "ResultArena",
-    "ShmContext",
     "SlotDescriptor",
     "register_wire_codec",
     "wire_codec_for",
@@ -84,18 +75,14 @@ _RECORD = struct.Struct(">BL")
 #: back to pickle rather than failing.
 DEFAULT_SLOT_BYTES = 1 << 20
 
-#: Reserved tag for pickle payloads in :class:`ContextSegment` (result
-#: records never use it — a fallback result simply bypasses the arena).
-_PICKLE_TAG_ID = 0
-
 
 # -- the wire-codec registry -----------------------------------------------------
 
 _ENCODERS: Dict[type, Tuple[int, Callable[[Any], bytes]]] = {}
 _DECODERS: Dict[int, Callable[[bytes], Any]] = {}
 #: guards the codec tables: registration happens at import time in the
-#: common case, but thread backends may trigger lazy registering imports
-#: from pool threads, and the check-then-insert below must be atomic
+#: common case, but callers on several threads may trigger lazy registering
+#: imports concurrently, and the check-then-insert below must be atomic
 _codec_lock = threading.Lock()
 
 
@@ -118,7 +105,9 @@ def register_wire_codec(
     and the wire bytes have to be the same layout.
     """
     if not 1 <= tag_id <= 0xFF:
-        raise ParameterError("codec tag must be in 1..255 (0 is pickle)")
+        # 0 never names a codec: it is what a zeroed, never-written record
+        # header reads as
+        raise ParameterError("codec tag must be in 1..255")
     with _codec_lock:
         registered = _ENCODERS.get(cls)
         if registered is not None and registered[0] != tag_id:
@@ -160,8 +149,8 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 #: runs without re-mmapping, and frees the previous batch's mapping.
 _ATTACH_CACHE: List[Tuple[str, shared_memory.SharedMemory]] = []
 #: guards the attach cache: process-pool workers are single-threaded, but
-#: the thread backend shares this module across its pool threads, and an
-#: unguarded pop/close would hand one thread a mapping another just freed
+#: a parent-side writer may attach from several threads, and an unguarded
+#: pop/close would hand one thread a mapping another just freed
 _attach_lock = threading.Lock()
 
 
@@ -406,8 +395,9 @@ class ResultArena:
     Layout: ``slots`` headers (:data:`_HEADER` each) followed by ``slots``
     fixed-size payload regions.  Chunk ``i`` writes slot ``i % slots`` with
     generation ``i // slots + 1``; the backend's bounded in-flight window
-    (``slots >= max_inflight``) plus ordered collection guarantee the
-    previous tenant of a ring position was collected before reuse.
+    (``slots`` covers every chunk in flight) plus ordered collection
+    guarantee the previous tenant of a ring position was collected before
+    reuse.
     """
 
     def __init__(
@@ -523,127 +513,6 @@ class ResultArena:
             pass
 
     def __enter__(self) -> "ResultArena":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-# -- warm-start context shipping -------------------------------------------------
-
-
-class ShmContext:
-    """Marks an envelope context for shared-segment shipping.
-
-    Call sites wrap the frozen context (``TaskEnvelope(context=
-    ShmContext(ctx))``) when the chosen backend advertises ``shm_enabled``;
-    the :class:`~repro.parallel.backend.ProcessBackend` then owns the
-    segment — created at pool construction, unlinked when the pool is
-    discarded — so late-starting pool workers always find it.  Backends
-    without shared-memory support receive the wrapped value unchanged.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __reduce__(self) -> Tuple[Any, Tuple[Any]]:
-        return (ShmContext, (self.value,))
-
-
-class ContextHandle:
-    """The picklable stand-in for a shared-segment task context.
-
-    The backend's worker initializer calls :meth:`load` exactly once per
-    worker at pool warm-start; the decoded context then serves every chunk.
-    """
-
-    __slots__ = ("name", "size")
-
-    def __init__(self, name: str, size: int) -> None:
-        self.name = name
-        self.size = size
-
-    def __reduce__(self) -> Tuple[Any, Tuple[str, int]]:
-        return (ContextHandle, (self.name, self.size))
-
-    def load(self) -> Any:
-        """Attach, decode the single record, detach."""
-        with span("arena.attach", context=True):
-            try:
-                shm = _attach(self.name)
-            except FileNotFoundError as exc:
-                raise ParallelError(
-                    "shared context segment vanished before worker start"
-                ) from exc
-        try:
-            tag_id, length = _RECORD.unpack_from(shm.buf, 0)
-            if _RECORD.size + length > self.size:
-                raise ParallelError("shared context segment is truncated")
-            blob = bytes(shm.buf[_RECORD.size : _RECORD.size + length])
-        finally:
-            shm.close()
-        if tag_id == _PICKLE_TAG_ID:
-            return pickle.loads(blob)
-        decoder = _DECODERS.get(tag_id)
-        if decoder is None:
-            raise ParallelError(
-                f"no codec registered for context tag {tag_id}"
-            )
-        return decoder(blob)
-
-
-class ContextSegment:
-    """One frozen task context in shared memory, decoded once per worker.
-
-    Uses the registered wire codec when the context type has one, else a
-    tagged pickle payload — still written once and read from shared pages
-    by every worker, instead of the parent pickling into ``workers`` pipes.
-    The pickle fallback is counted like any other
-    (``smatch_parallel_shm_fallbacks_total``).
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory) -> None:
-        self._shm = shm
-        self._closed = False
-
-    @classmethod
-    def create(cls, context: Any) -> "ContextSegment":
-        """Encode ``context`` into a fresh shared segment."""
-        codec = wire_codec_for(context)
-        if codec is None:
-            tag = _PICKLE_TAG_ID
-            blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-            metric_inc(M_PARALLEL_SHM_FALLBACKS)
-        else:
-            tag, encode = codec
-            blob = encode(context)
-        size = _RECORD.size + len(blob)
-        shm = shared_memory.SharedMemory(
-            create=True, size=size, name=f"smarena_{os.urandom(8).hex()}"
-        )
-        _RECORD.pack_into(shm.buf, 0, tag, len(blob))
-        shm.buf[_RECORD.size : size] = blob
-        metric_inc(M_PARALLEL_SHM_BYTES, size)
-        return cls(shm)
-
-    def handle(self) -> ContextHandle:
-        """The picklable handle workers resolve at warm start."""
-        return ContextHandle(self._shm.name, self._shm.size)
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink race
-            pass
-
-    def __enter__(self) -> "ContextSegment":
         return self
 
     def __exit__(self, *exc_info: object) -> None:

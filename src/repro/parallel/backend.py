@@ -1,22 +1,17 @@
 """Pluggable execution backends for CPU-bound bulk work.
 
 The OPRF/modexp-bound hot paths (full enrollment, server-side batched blind
-evaluation, bulk matching) are pure-Python compute: thread pools buy
-determinism and overlap with IO, but the GIL serializes the arithmetic.  A
-:class:`ProcessBackend` breaks out of the interpreter entirely, at the cost
-of a pickling boundary.  All three backends implement one protocol so call
-sites choose a *policy*, not a mechanism:
+evaluation, bulk matching) are pure-Python compute, so the GIL serializes
+them inside one interpreter.  A :class:`ProcessBackend` breaks out of the
+interpreter entirely, at the cost of a process boundary.  Both backends
+implement one protocol so call sites choose a *policy*, not a mechanism:
 
 * :class:`SerialBackend` — run chunks inline, in order (the reference
-  semantics every other backend must reproduce);
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor``; useful for IO-bound
-  task functions and as a GIL-bound stand-in with identical scheduling
-  structure;
+  semantics the process backend must reproduce);
 * :class:`ProcessBackend` — a ``ProcessPoolExecutor`` with a per-worker
   **warm-start initializer**: the task envelope's context (RSA key
-  material, scheme parameters, OPE params) is shipped to each worker once
-  at pool construction and cached in the worker process, not re-pickled
-  per task.
+  material, scheme parameters, OPE params) reaches each worker once at pool
+  construction and is cached in the worker process, not re-sent per task.
 
 Work arrives as a :class:`TaskEnvelope` — a module-level function plus a
 picklable context — applied to deterministic, contiguous chunks of an item
@@ -24,11 +19,10 @@ list (:func:`partition_chunks`).  Results always come back in submission
 order regardless of completion order, which is what lets seeded enrollment
 stay byte-identical across backends (docs/PERFORMANCE.md).
 
-Submission is **bounded**: at most ``max_inflight`` chunks are enqueued on
-the pool at any moment (default ``2 × workers``), so a million-chunk batch
-never materializes a million futures — backpressure is exerted on the
-producer by collecting the oldest outstanding future before submitting the
-next chunk.
+Submission is **bounded**: at most ``2 × workers`` chunks are enqueued on
+the pool at any moment, so a million-chunk batch never materializes a
+million futures — backpressure is exerted on the producer by collecting the
+oldest outstanding future before submitting the next chunk.
 
 Failure surfacing is typed (:mod:`repro.errors`): a worker process dying
 abruptly raises :class:`~repro.errors.WorkerCrashError` instead of hanging,
@@ -37,14 +31,14 @@ and the broken pool is discarded so the *next* call restarts fresh workers
 *inside* a task function propagate unchanged.
 
 Telemetry crosses the fan-out boundary truthfully (docs/OBSERVABILITY.md):
-when the submitting thread is tracing, each pooled chunk runs under a
-worker-local :class:`~repro.obs.trace.Tracer` whose records ship back with
-the result and are spliced into the parent trace under the open
-``parallel.map`` span, tagged with the worker identity; process workers
-additionally run a local :class:`~repro.obs.metrics.MetricsRegistry` whose
-mergeable snapshot is folded into the parent registry (counters add,
-gauges max), so ``smatch_parallel_*`` and OPE-cache counters agree across
-serial, thread, and process backends.
+when the submitting thread is tracing, each chunk runs under a worker-local
+:class:`~repro.obs.trace.Tracer` whose records ship back with the result
+and are spliced into the parent trace under the open ``parallel.map`` span,
+tagged with the worker identity; when a metrics registry is enabled, each
+worker runs a local :class:`~repro.obs.metrics.MetricsRegistry` whose
+mergeable snapshot is folded into the parent registry (counters add, gauges
+max), so ``smatch_parallel_*`` and OPE-cache counters agree across the
+serial and process backends.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ import os
 import pickle
 import threading
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
@@ -77,15 +71,7 @@ except ImportError:  # pragma: no cover - Python < 3.8 is unsupported anyway
         return cls
 
 from repro.errors import ParallelError, ParameterError, WorkerCrashError
-from repro.parallel.arena import (
-    DEFAULT_SLOT_BYTES,
-    ArenaWriter,
-    ContextHandle,
-    ContextSegment,
-    ResultArena,
-    ShmContext,
-    SlotDescriptor,
-)
+from repro.parallel.arena import ArenaWriter, ResultArena, SlotDescriptor
 from repro.obs.metrics import (
     M_OBS_WORKER_SPANS,
     M_PARALLEL_CHUNKS,
@@ -107,7 +93,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskEnvelope",
-    "ThreadBackend",
     "balanced_chunk_size",
     "default_backend",
     "partition_chunks",
@@ -116,7 +101,7 @@ __all__ = [
 ]
 
 #: Names accepted by :func:`resolve_backend` and the ``SMATCH_BACKEND`` env.
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "thread", "process")
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
 
 _ENV_VAR = "SMATCH_BACKEND"
 
@@ -135,26 +120,20 @@ class TaskEnvelope:
     once via the pool initializer.  ``label`` names the work in spans and
     error messages (never interpolate task *data* into it).
 
-    ``obs`` controls worker-side telemetry capture.  ``None`` (the default)
-    derives it from the parent: workers record spans exactly when a tracer
-    is active on the submitting thread, and (process backends only) run a
+    Worker-side telemetry capture follows the parent: workers record spans
+    exactly when a tracer is active on the submitting thread, and run a
     local metrics registry exactly when one is enabled in the parent.
-    ``False`` disables capture even then — for batches so fine-grained the
-    per-chunk tracer would dominate; ``True`` forces worker-side capture
-    regardless, for harnesses that collect the payloads themselves (the
-    parent still splices/merges only what its own activation can absorb).
 
     ``shm_results`` declares that ``fn`` accepts a third argument — an
     :class:`~repro.parallel.arena.ArenaWriter` (or ``None``) — and will
-    route wire-encodable results through the shared-memory result arena
-    when a :class:`ProcessBackend` offers one.  Serial and thread backends
-    (same address space, nothing to transport) always pass no writer.
+    route wire-encodable results through the shared-memory result arena of
+    a :class:`ProcessBackend`.  The serial backend (same address space,
+    nothing to transport) always passes no writer.
     """
 
     fn: TaskFn
     context: Any = None
     label: str = "task"
-    obs: Optional[bool] = None
     shm_results: bool = False
 
 
@@ -227,69 +206,14 @@ class _WorkerTelemetry:
     ``spans`` is the worker tracer's depth-first record list (the
     :meth:`~repro.obs.trace.Tracer.span_records` shape) or ``None`` when
     span capture was off; ``metrics`` is the worker registry's mergeable
-    view or ``None``; ``worker`` identifies the executing worker (pool
-    thread name, or ``pid-<n>`` for a worker process).
+    view or ``None``; ``worker`` identifies the executing worker process
+    (``pid-<n>``).
     """
 
     result: Any
     spans: Optional[List[Dict[str, Any]]]
     metrics: Optional[Dict[str, Dict[str, Any]]]
     worker: str
-
-
-def _run_traced(
-    fn: TaskFn,
-    context: Any,
-    chunk: Sequence[Any],
-    label: str,
-    index: int,
-    capture_spans: bool,
-    capture_metrics: bool,
-    kind: str,
-    writer: Optional[ArenaWriter] = None,
-) -> _WorkerTelemetry:
-    """Run one chunk under worker-local telemetry and wrap the result.
-
-    Pool threads have no thread-local tracer (spans opened inside them
-    no-op'd before this existed — the thread-backend span-loss bug), and
-    worker processes additionally have a private metrics registry, so both
-    capture locally here and ship the records back for parent-side
-    splicing/merging.  Exceptions from ``fn`` propagate unchanged; the
-    local registry swap is always restored.
-    """
-    if kind == "thread":
-        worker = threading.current_thread().name
-    else:
-        worker = f"pid-{os.getpid()}"
-        # a fork-started worker inherits the submitting thread's tracer;
-        # it is an orphan copy here — clear it so the worker trace opens
-        clear_inherited_tracer()
-    prior_registry = active_metrics()
-    local_registry: Optional[MetricsRegistry] = None
-    if capture_metrics:
-        local_registry = enable_metrics(MetricsRegistry())
-    try:
-        if capture_spans:
-            with tracing("parallel.chunk", label=label, chunk=index) as tracer:
-                result = _apply(fn, context, chunk, writer)
-            spans: Optional[List[Dict[str, Any]]] = tracer.span_records()
-        else:
-            result = _apply(fn, context, chunk, writer)
-            spans = None
-    finally:
-        if capture_metrics:
-            if prior_registry is None:
-                disable_metrics()
-            else:
-                enable_metrics(prior_registry)
-    return _WorkerTelemetry(
-        result=result,
-        spans=spans,
-        metrics=(
-            local_registry.to_mergeable() if local_registry is not None else None
-        ),
-        worker=worker,
-    )
 
 
 def _absorb_result(payload: Any) -> Any:
@@ -362,243 +286,6 @@ class SerialBackend:
         self.close()
 
 
-class _PooledBackend:
-    """Shared submission/collection machinery of the pooled backends.
-
-    Bounded in-flight window: submit up to ``max_inflight`` chunks, then
-    alternate collect-oldest / submit-next so results arrive in submission
-    order with O(max_inflight) outstanding futures.
-    """
-
-    name = "pooled"
-
-    def __init__(self, workers: int, max_inflight: Optional[int] = None) -> None:
-        if workers < 1:
-            raise ParameterError("workers must be >= 1")
-        self.workers = workers
-        self._max_inflight = (
-            max_inflight if max_inflight is not None else 2 * workers
-        )
-        if self._max_inflight < 1:
-            raise ParameterError("max_inflight must be >= 1")
-
-    # hooks the concrete backends provide -------------------------------------
-
-    def _pool_for(self, envelope: TaskEnvelope) -> Any:
-        raise NotImplementedError
-
-    def _submit(
-        self,
-        pool: Any,
-        envelope: TaskEnvelope,
-        chunk: Sequence[Any],
-        index: int,
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> "Future[Any]":
-        raise NotImplementedError
-
-    def _discard_pool(self) -> None:
-        raise NotImplementedError
-
-    def _begin_batch(
-        self, envelope: TaskEnvelope, num_chunks: int
-    ) -> Optional[ResultArena]:
-        """Per-batch transport state; only :class:`ProcessBackend` has any."""
-        return None
-
-    def _absorb(
-        self,
-        payload: Any,
-        envelope: TaskEnvelope,
-        arena: Optional[ResultArena],
-        index: int,
-    ) -> Any:
-        """Unwrap one collected result (telemetry splice + arena resolve)."""
-        return _absorb_result(payload)
-
-    def _captures_metrics(self) -> bool:
-        """Whether this backend's workers need a local metrics registry.
-
-        Pool *threads* share the process-wide registry, so their metric
-        emissions are already truthful; worker *processes* have a private
-        copy and must capture + ship (:class:`ProcessBackend` overrides).
-        """
-        return False
-
-    def _telemetry_plan(self, envelope: TaskEnvelope) -> Tuple[bool, bool]:
-        """``(capture_spans, capture_metrics)`` for this batch (see
-        :class:`TaskEnvelope` on the ``obs`` flag semantics)."""
-        if envelope.obs is False:
-            return (False, False)
-        if envelope.obs is True:
-            return (True, self._captures_metrics())
-        return (
-            current_tracer() is not None,
-            self._captures_metrics() and active_metrics() is not None,
-        )
-
-    # the shared engine --------------------------------------------------------
-
-    def map_chunks(
-        self, envelope: TaskEnvelope, chunks: Sequence[Sequence[Any]]
-    ) -> List[Any]:
-        """Apply the envelope across the pool; results in submission order."""
-        chunks = list(chunks)
-        with span(
-            "parallel.map",
-            backend=self.name,
-            label=envelope.label,
-            chunks=len(chunks),
-        ):
-            _note_batch(len(chunks), sum(len(c) for c in chunks))
-            try:
-                return self._collect(envelope, chunks)
-            finally:
-                metric_set(M_PARALLEL_QUEUE_DEPTH, 0)
-
-    def _collect(
-        self, envelope: TaskEnvelope, chunks: List[Sequence[Any]]
-    ) -> List[Any]:
-        pool = self._pool_for(envelope)
-        capture_spans, capture_metrics = self._telemetry_plan(envelope)
-        arena = self._begin_batch(envelope, len(chunks))
-        try:
-            return self._collect_into(
-                pool, envelope, chunks, capture_spans, capture_metrics, arena
-            )
-        finally:
-            # always unlink the batch segment — also on the WorkerCrashError
-            # path, so a dead worker can never leak shared memory
-            if arena is not None:
-                arena.close()
-
-    def _collect_into(
-        self,
-        pool: Any,
-        envelope: TaskEnvelope,
-        chunks: List[Sequence[Any]],
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> List[Any]:
-        results: List[Any] = [None] * len(chunks)
-        pending: Deque[Tuple[int, "Future[Any]"]] = deque()
-        next_index = 0
-
-        def submit_one() -> None:
-            nonlocal next_index
-            index = next_index
-            next_index += 1
-            pending.append(
-                (
-                    index,
-                    self._submit(
-                        pool,
-                        envelope,
-                        chunks[index],
-                        index,
-                        capture_spans,
-                        capture_metrics,
-                        arena,
-                    ),
-                )
-            )
-
-        while next_index < len(chunks) and len(pending) < self._max_inflight:
-            submit_one()
-        metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
-        while pending:
-            index, future = pending.popleft()
-            try:
-                results[index] = self._absorb(
-                    future.result(), envelope, arena, index
-                )
-            except BrokenProcessPool as exc:
-                # the pool is unusable: drop it (the next map_chunks call
-                # restarts fresh workers) and surface a typed error instead
-                # of hanging on futures a dead worker will never complete
-                for _, leftover in pending:
-                    leftover.cancel()
-                pending.clear()
-                self._discard_pool()
-                metric_inc(M_PARALLEL_WORKER_RESTARTS)
-                raise WorkerCrashError(
-                    f"worker process died while running {envelope.label!r} "
-                    f"chunk {index} of {len(chunks)}"
-                ) from exc
-            if next_index < len(chunks):
-                submit_one()
-            metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
-        return results
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); a later call re-creates it."""
-        self._discard_pool()
-
-    def __enter__(self) -> "_PooledBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class ThreadBackend(_PooledBackend):
-    """A ``ThreadPoolExecutor`` backend.
-
-    Shares the caller's address space, so contexts need not be picklable
-    and warm state is simply the shared object.  Pure-Python compute stays
-    GIL-serialized — use :class:`ProcessBackend` for wall-clock speedups on
-    modexp-bound work.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self, workers: Optional[int] = None, max_inflight: Optional[int] = None
-    ) -> None:
-        super().__init__(_default_workers(workers), max_inflight)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _pool_for(self, envelope: TaskEnvelope) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="smatch-parallel",
-            )
-        return self._pool
-
-    def _submit(
-        self,
-        pool: ThreadPoolExecutor,
-        envelope: TaskEnvelope,
-        chunk: Sequence[Any],
-        index: int,
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> "Future[Any]":
-        if capture_spans or capture_metrics:
-            return pool.submit(
-                _run_traced,
-                envelope.fn,
-                envelope.context,
-                chunk,
-                envelope.label,
-                index,
-                capture_spans,
-                capture_metrics,
-                "thread",
-            )
-        return pool.submit(envelope.fn, envelope.context, chunk)
-
-    def _discard_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-
 # -- process backend -----------------------------------------------------------
 
 #: Per-worker-process warm state, installed once by the pool initializer.
@@ -606,16 +293,8 @@ _WORKER_CONTEXT: Any = None
 
 
 def _initialize_worker(context: Any) -> None:
-    """Pool initializer: cache the envelope context in this worker process.
-
-    A :class:`~repro.parallel.arena.ContextHandle` is resolved here — once,
-    at warm start — so a shared-segment context (e.g. the matcher's frozen
-    ``BulkMatchContext``) is decoded exactly once per worker and every
-    chunk then reuses the decoded object.
-    """
+    """Pool initializer: cache the envelope context in this worker process."""
     global _WORKER_CONTEXT
-    if isinstance(context, ContextHandle):
-        context = context.load()
     # written exactly once per worker process by the pool initializer,
     # strictly before any chunk runs, and workers are single-threaded
     _WORKER_CONTEXT = context  # smatch-lint: disable=SML013 — initializer runs before any task
@@ -638,82 +317,177 @@ def _run_chunk_traced(
     capture_metrics: bool,
     desc: Optional[SlotDescriptor] = None,
 ) -> _WorkerTelemetry:
-    """Trampoline for traced chunks: warm context + worker-local telemetry."""
-    return _run_traced(
-        fn,
-        _WORKER_CONTEXT,
-        chunk,
-        label,
-        index,
-        capture_spans,
-        capture_metrics,
-        "process",
-        ArenaWriter(desc) if desc is not None else None,
+    """Run one chunk under worker-local telemetry and wrap the result.
+
+    A worker process has no tracer of the submitting thread and a private
+    metrics registry, so it captures locally here and ships the records
+    back for parent-side splicing/merging.  Exceptions from ``fn``
+    propagate unchanged; the local registry swap is always restored.
+    """
+    # a fork-started worker inherits the submitting thread's tracer; it is
+    # an orphan copy here — clear it so the worker trace opens
+    clear_inherited_tracer()
+    writer = ArenaWriter(desc) if desc is not None else None
+    prior_registry = active_metrics()
+    local_registry: Optional[MetricsRegistry] = None
+    if capture_metrics:
+        local_registry = enable_metrics(MetricsRegistry())
+    try:
+        if capture_spans:
+            with tracing("parallel.chunk", label=label, chunk=index) as tracer:
+                result = _apply(fn, _WORKER_CONTEXT, chunk, writer)
+            spans: Optional[List[Dict[str, Any]]] = tracer.span_records()
+        else:
+            result = _apply(fn, _WORKER_CONTEXT, chunk, writer)
+            spans = None
+    finally:
+        if capture_metrics:
+            if prior_registry is None:
+                disable_metrics()
+            else:
+                enable_metrics(prior_registry)
+    return _WorkerTelemetry(
+        result=result,
+        spans=spans,
+        metrics=(
+            local_registry.to_mergeable() if local_registry is not None else None
+        ),
+        worker=f"pid-{os.getpid()}",
     )
 
 
-class ProcessBackend(_PooledBackend):
+class ProcessBackend:
     """A ``ProcessPoolExecutor`` backend for modexp-bound work.
 
-    The envelope context crosses the pickling boundary exactly once per
-    worker (pool initializer); per-chunk submissions carry only the task
+    The envelope context crosses to each worker exactly once, as the pool
+    initializer's argument (inherited without serialization under the
+    ``fork`` start method); per-chunk submissions carry only the task
     function reference and the chunk items.  The pool is kept warm across
     ``map_chunks`` calls that reuse the *same* context object, so repeated
     batches against one key/scheme pay pool start-up once.
 
+    Submission is bounded: at most ``2 × workers`` chunks are outstanding,
+    and results are collected oldest-first, so they arrive in submission
+    order with O(workers) live futures.
+
     Results of envelopes marked ``shm_results`` move through a per-batch
     shared-memory :class:`~repro.parallel.arena.ResultArena` instead of the
     future-result pickle: workers wire-encode each record once, the parent
-    returns lazy decode-on-access views.  ``shm=False`` (or the
-    ``SMATCH_SHM=0`` environment variable) forces the plain pickle
-    transport; ``shm_slot_bytes`` sizes each arena slot (records that
-    overflow fall back to pickle per record).
+    returns lazy decode-on-access views.  Records that overflow their
+    :data:`~repro.parallel.arena.DEFAULT_SLOT_BYTES` slot fall back to
+    pickle per record.
     """
 
     name = "process"
 
     def __init__(
-        self,
-        workers: Optional[int] = None,
-        max_inflight: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        shm: Optional[bool] = None,
-        shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
+        self, workers: Optional[int] = None, mp_context: Optional[str] = None
     ) -> None:
-        super().__init__(_default_workers(workers), max_inflight)
+        self.workers = _default_workers(workers)
+        self._max_inflight = 2 * self.workers
         self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_context: Any = None
-        self._context_segment: Optional[ContextSegment] = None
-        if shm is None:
-            shm = os.environ.get("SMATCH_SHM", "").strip() != "0"
-        if shm_slot_bytes < 64:
-            raise ParameterError("shm_slot_bytes must be >= 64")
-        self._shm = bool(shm)
-        self._shm_slot_bytes = shm_slot_bytes
 
-    @property
-    def shm_enabled(self) -> bool:
-        """Whether this backend moves eligible work through shared memory."""
-        return self._shm
+    def map_chunks(
+        self, envelope: TaskEnvelope, chunks: Sequence[Sequence[Any]]
+    ) -> List[Any]:
+        """Apply the envelope across the pool; results in submission order."""
+        chunks = list(chunks)
+        with span(
+            "parallel.map",
+            backend=self.name,
+            label=envelope.label,
+            chunks=len(chunks),
+        ):
+            _note_batch(len(chunks), sum(len(c) for c in chunks))
+            pool = self._pool_for(envelope)
+            arena: Optional[ResultArena] = None
+            if envelope.shm_results and chunks:
+                # one ring slot per possible in-flight chunk: ordered
+                # collection frees a ring position before any writer can
+                # revisit it
+                arena = ResultArena(slots=min(self._max_inflight, len(chunks)))
+            try:
+                return self._collect(pool, envelope, chunks, arena)
+            finally:
+                # always unlink the batch segment — also on the
+                # WorkerCrashError path, so a dead worker can never leak
+                # shared memory
+                if arena is not None:
+                    arena.close()
+                metric_set(M_PARALLEL_QUEUE_DEPTH, 0)
+
+    def _collect(
+        self,
+        pool: ProcessPoolExecutor,
+        envelope: TaskEnvelope,
+        chunks: List[Sequence[Any]],
+        arena: Optional[ResultArena],
+    ) -> List[Any]:
+        # worker-side capture follows the parent: spans exactly when the
+        # submitting thread traces, a local registry exactly when one is on
+        capture_spans = current_tracer() is not None
+        capture_metrics = active_metrics() is not None
+        results: List[Any] = [None] * len(chunks)
+        pending: Deque[Tuple[int, "Future[Any]"]] = deque()
+        next_index = 0
+
+        def submit_one() -> None:
+            nonlocal next_index
+            index = next_index
+            next_index += 1
+            desc = arena.slot_descriptor(index) if arena is not None else None
+            if capture_spans or capture_metrics:
+                future = pool.submit(
+                    _run_chunk_traced,
+                    envelope.fn,
+                    chunks[index],
+                    envelope.label,
+                    index,
+                    capture_spans,
+                    capture_metrics,
+                    desc,
+                )
+            else:
+                future = pool.submit(_run_chunk, envelope.fn, chunks[index], desc)
+            pending.append((index, future))
+
+        while next_index < len(chunks) and len(pending) < self._max_inflight:
+            submit_one()
+        metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
+        while pending:
+            index, future = pending.popleft()
+            try:
+                value = _absorb_result(future.result())
+            except BrokenProcessPool as exc:
+                # the pool is unusable: drop it (the next map_chunks call
+                # restarts fresh workers) and surface a typed error instead
+                # of hanging on futures a dead worker will never complete
+                for _, leftover in pending:
+                    leftover.cancel()
+                pending.clear()
+                self.close()
+                metric_inc(M_PARALLEL_WORKER_RESTARTS)
+                raise WorkerCrashError(
+                    f"worker process died while running {envelope.label!r} "
+                    f"chunk {index} of {len(chunks)}"
+                ) from exc
+            if arena is not None:
+                value = arena.resolve(
+                    value, arena.slot_descriptor(index), envelope.label
+                )
+            results[index] = value
+            if next_index < len(chunks):
+                submit_one()
+            metric_set(M_PARALLEL_QUEUE_DEPTH, len(pending))
+        return results
 
     def _pool_for(self, envelope: TaskEnvelope) -> ProcessPoolExecutor:
         if self._pool is not None and self._pool_context is envelope.context:
             return self._pool
-        self._discard_pool()
+        self.close()
         self._check_picklable(envelope)
-        init_context = envelope.context
-        if isinstance(init_context, ShmContext):
-            if self._shm:
-                # the backend owns the segment so its lifetime matches the
-                # pool's: ProcessPoolExecutor spawns workers lazily, and a
-                # late-starting worker must still find the segment to attach
-                self._context_segment = ContextSegment.create(
-                    init_context.value
-                )
-                init_context = self._context_segment.handle()
-            else:
-                init_context = init_context.value
         mp_ctx = None
         if self._mp_context is not None:
             import multiprocessing
@@ -722,7 +496,7 @@ class ProcessBackend(_PooledBackend):
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_initialize_worker,
-            initargs=(init_context,),
+            initargs=(envelope.context,),
             mp_context=mp_ctx,
         )
         # hold a strong reference so `is` identity can't be recycled
@@ -742,67 +516,18 @@ class ProcessBackend(_PooledBackend):
                 f"picklable ({type(exc).__name__})"
             ) from exc
 
-    def _captures_metrics(self) -> bool:
-        return True
-
-    def _begin_batch(
-        self, envelope: TaskEnvelope, num_chunks: int
-    ) -> Optional[ResultArena]:
-        if not (self._shm and envelope.shm_results and num_chunks):
-            return None
-        # one ring slot per possible in-flight chunk: ordered collection
-        # frees a ring position before any writer can revisit it
-        return ResultArena(
-            slots=min(self._max_inflight, num_chunks),
-            slot_bytes=self._shm_slot_bytes,
-        )
-
-    def _absorb(
-        self,
-        payload: Any,
-        envelope: TaskEnvelope,
-        arena: Optional[ResultArena],
-        index: int,
-    ) -> Any:
-        value = _absorb_result(payload)
-        if arena is not None:
-            value = arena.resolve(
-                value, arena.slot_descriptor(index), envelope.label
-            )
-        return value
-
-    def _submit(
-        self,
-        pool: ProcessPoolExecutor,
-        envelope: TaskEnvelope,
-        chunk: Sequence[Any],
-        index: int,
-        capture_spans: bool,
-        capture_metrics: bool,
-        arena: Optional[ResultArena],
-    ) -> "Future[Any]":
-        desc = arena.slot_descriptor(index) if arena is not None else None
-        if capture_spans or capture_metrics:
-            return pool.submit(
-                _run_chunk_traced,
-                envelope.fn,
-                chunk,
-                envelope.label,
-                index,
-                capture_spans,
-                capture_metrics,
-                desc,
-            )
-        return pool.submit(_run_chunk, envelope.fn, chunk, desc)
-
-    def _discard_pool(self) -> None:
+    def close(self) -> None:
+        """Shut the pool down (idempotent); a later call re-creates it."""
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
             self._pool_context = None
-        if self._context_segment is not None:
-            self._context_segment.close()
-            self._context_segment = None
+
+    def __enter__(self) -> "ProcessBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 # -- name resolution and the process-wide default ------------------------------
@@ -815,16 +540,14 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """An :class:`ExecutionBackend` from a name or a ready instance.
 
-    Accepts ``"serial"``, ``"thread"``, ``"process"`` (optionally sized by
-    ``workers``; pool backends default to ``os.cpu_count()``), or any object
+    Accepts ``"serial"`` or ``"process"`` (optionally sized by ``workers``;
+    the process backend defaults to ``os.cpu_count()``), or any object
     already implementing the protocol (returned as-is).
     """
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name == "serial":
             return SerialBackend()
-        if name == "thread":
-            return ThreadBackend(workers)
         if name == "process":
             return ProcessBackend(workers)
         raise ParameterError(
@@ -842,7 +565,7 @@ def resolve_backend(
 _default_backend: Optional[ExecutionBackend] = None
 _env_cache: Dict[str, ExecutionBackend] = {}
 #: guards ``_env_cache``: concurrent first calls to ``default_backend``
-#: from pool threads must not both resolve (and warm up) the same backend
+#: from caller threads must not both resolve (and warm up) the same backend
 _backend_lock = threading.Lock()
 
 

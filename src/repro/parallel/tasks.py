@@ -80,8 +80,8 @@ class EnrollSpec:
 
     @classmethod
     def of(cls, scheme: SMatch) -> "EnrollSpec":
-        """A spec capturing ``scheme``, memoized so the in-process backends
-        (serial/thread) reuse the live instance and its warm OPE cache."""
+        """A spec capturing ``scheme``, memoized so the in-process serial
+        backend reuses the live instance and its warm OPE cache."""
         spec = cls(
             params=scheme.params,
             oprf_server=scheme.oprf_server,
@@ -123,10 +123,10 @@ def enroll_chunk(
     result bytes depend only on the ``(profile, seed)`` pair — not on
     chunking, worker count, or which process runs the chunk.
 
-    With an ``arena`` writer (process backend, shm transport on), each
+    With an ``arena`` writer (process backend), each
     payload is wire-encoded once into shared memory and only its record
     reference rides the pickle path; the parent rebuilds lazy views that
-    decode to byte-identical profiles.  Without one (serial/thread), the
+    decode to byte-identical profiles.  Without one (serial), the
     payload objects are returned directly.
     """
     scheme = spec.materialize()

@@ -120,9 +120,9 @@ class ProcessShard:
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec
-        # shm off: op batches are heterogeneous tuples, not wire records —
-        # the pickle transport is the right one here
-        self._backend = ProcessBackend(workers=1, shm=False)
+        # op batches are heterogeneous tuples, not wire records, so the
+        # envelope leaves shm_results off and results ride the pickle path
+        self._backend = ProcessBackend(workers=1)
         # one envelope for the life of the shard: context identity is what
         # keeps the pool (and the worker's recovered state) warm
         self._envelope = TaskEnvelope(

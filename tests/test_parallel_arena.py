@@ -18,30 +18,19 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import (
-    ParallelError,
-    ParameterError,
-    WorkerCrashError,
-)
+from repro.errors import ParameterError, WorkerCrashError
 from repro.obs.metrics import (
     MetricsRegistry,
     disable_metrics,
     enable_metrics,
 )
-from repro.parallel import (
-    ProcessBackend,
-    TaskEnvelope,
-    ThreadBackend,
-)
+from repro.parallel import ProcessBackend, TaskEnvelope
 from repro.parallel.arena import (
     _RECORD,
     ArenaRef,
     ArenaWriter,
-    ContextHandle,
-    ContextSegment,
     LazyWireRecord,
     ResultArena,
-    ShmContext,
     register_wire_codec,
 )
 
@@ -295,48 +284,6 @@ class TestCodecRegistry:
                 )
 
 
-# -- context shipping ------------------------------------------------------------
-
-
-class TestContextShipping:
-    def test_pickle_context_roundtrip(self):
-        registry = _capturing_registry()
-        try:
-            segment = ContextSegment.create({"k": 3, "orders": (1, 2)})
-            try:
-                handle = pickle.loads(pickle.dumps(segment.handle()))
-                assert handle.load() == {"k": 3, "orders": (1, 2)}
-            finally:
-                segment.close()
-        finally:
-            counters = _counters(registry)
-        assert counters["smatch_parallel_shm_fallbacks_total"] == 1
-
-    def test_registered_context_uses_its_codec(self):
-        registry = _capturing_registry()
-        try:
-            segment = ContextSegment.create(Pair(7, 8))
-            try:
-                assert segment.handle().load() == Pair(7, 8)
-            finally:
-                segment.close()
-        finally:
-            counters = _counters(registry)
-        assert "smatch_parallel_shm_fallbacks_total" not in counters
-
-    def test_vanished_segment_is_a_typed_error(self):
-        segment = ContextSegment.create({"gone": True})
-        handle = segment.handle()
-        segment.close()
-        with pytest.raises(ParallelError):
-            handle.load()
-
-    def test_shm_context_pickles_transparently(self):
-        wrapped = pickle.loads(pickle.dumps(ShmContext({"k": 1})))
-        assert isinstance(wrapped, ShmContext)
-        assert wrapped.value == {"k": 1}
-
-
 # -- end-to-end through the process backend --------------------------------------
 
 
@@ -352,10 +299,6 @@ def _die_mid_write(context, chunk, arena=None):
     if arena is not None:
         arena.put_record(Pair(chunk[0], 0))
     os._exit(13)  # before seal(): the slot never commits
-
-
-def _report_context(context, chunk):
-    return [context["scale"] * value for value in chunk]
 
 
 class TestProcessBackendTransport:
@@ -374,11 +317,10 @@ class TestProcessBackendTransport:
         )
 
     def test_shm_disabled_returns_plain_objects(self):
-        envelope = TaskEnvelope(
-            fn=_emit_pairs, label="pairs", shm_results=True
-        )
-        with ProcessBackend(2, mp_context="fork", shm=False) as backend:
-            assert not backend.shm_enabled
+        # an envelope that does not declare shm_results gets no arena
+        # writer and its results ride the ordinary future pickle
+        envelope = TaskEnvelope(fn=_emit_pairs, label="pairs")
+        with ProcessBackend(2, mp_context="fork") as backend:
             results = backend.map_chunks(envelope, [[1, 2], [3]])
         assert results == [[Pair(1, 1), Pair(2, 4)], [Pair(3, 9)]]
         assert all(
@@ -400,37 +342,3 @@ class TestProcessBackendTransport:
                 fn=_emit_pairs, label="recovery", shm_results=True
             )
             assert backend.map_chunks(healthy, [[4]]) == [[Pair(4, 16)]]
-
-    def test_shm_context_delivered_to_workers(self):
-        envelope = TaskEnvelope(
-            fn=_report_context,
-            context=ShmContext({"scale": 10}),
-            label="ctx",
-        )
-        with ProcessBackend(2, mp_context="fork") as backend:
-            assert backend.map_chunks(envelope, [[1, 2], [3]]) == [
-                [10, 20],
-                [30],
-            ]
-
-    def test_shm_context_unwrapped_when_shm_off(self):
-        envelope = TaskEnvelope(
-            fn=_report_context,
-            context=ShmContext({"scale": 7}),
-            label="ctx-off",
-        )
-        with ProcessBackend(2, mp_context="fork", shm=False) as backend:
-            assert backend.map_chunks(envelope, [[1], [2]]) == [[7], [14]]
-
-    def test_thread_backend_ignores_shm_flag(self):
-        envelope = TaskEnvelope(
-            fn=_emit_pairs, label="threaded", shm_results=True
-        )
-        with ThreadBackend(2) as backend:
-            results = backend.map_chunks(envelope, [[1, 2]])
-        assert results == [[Pair(1, 1), Pair(2, 4)]]
-        assert isinstance(results[0][0], Pair)
-
-    def test_slot_bytes_validated(self):
-        with pytest.raises(ParameterError):
-            ProcessBackend(2, shm_slot_bytes=8)

@@ -1,9 +1,9 @@
 """Cross-backend equivalence and failure-surfacing tests (repro.parallel).
 
-The contract under test: for seeded work, every backend — serial, thread,
-process — produces **byte-identical** results for any worker count and any
-chunking, because chunk boundaries are a pure function of (batch size,
-chunk_size) and results are collected in submission order.  On top of that:
+The contract under test: for seeded work, the serial and process backends
+produce **byte-identical** results for any worker count and any chunking,
+because chunk boundaries are a pure function of (batch size, chunk_size)
+and results are collected in submission order.  On top of that:
 the batched OPRF path returns identical evaluations across backends, a
 crashing worker surfaces a typed :class:`~repro.errors.WorkerCrashError`
 without deadlocking (and the pool recovers), and the resolution /
@@ -25,11 +25,11 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.net.oprf_messages import BatchedBlindEvalRequest
+from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
 from repro.parallel import (
     ProcessBackend,
     SerialBackend,
     TaskEnvelope,
-    ThreadBackend,
     balanced_chunk_size,
     default_backend,
     partition_chunks,
@@ -97,39 +97,21 @@ class TestEnrollmentEquivalence:
     def serial_result(self, profiles):
         return _scheme().enroll_population(profiles, backend="serial", seed=77)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
-    def test_thread_backend_matches_serial(
-        self, profiles, serial_result, workers, chunk_size
-    ):
-        result = _scheme().enroll_population(
-            profiles,
-            backend=ThreadBackend(workers),
-            seed=77,
-            chunk_size=chunk_size,
-        )
-        _assert_same(serial_result, result)
-
     @pytest.mark.parametrize("workers,chunk_size", [(2, None), (2, 2), (3, 1)])
     def test_process_backend_matches_serial(
         self, profiles, serial_result, workers, chunk_size
     ):
-        with ProcessBackend(workers, mp_context="fork") as backend:
-            assert backend.shm_enabled  # arena transport is the default
-            result = _scheme().enroll_population(
-                profiles, backend=backend, seed=77, chunk_size=chunk_size
-            )
-        _assert_same(serial_result, result)
-
-    def test_process_backend_matches_serial_without_shm(
-        self, profiles, serial_result
-    ):
-        # same batch with the arena transport forced off: byte-identical
-        # either way, so the transport is pure mechanism
-        with ProcessBackend(2, mp_context="fork", shm=False) as backend:
-            result = _scheme().enroll_population(
-                profiles, backend=backend, seed=77, chunk_size=2
-            )
+        registry = enable_metrics(MetricsRegistry())
+        try:
+            with ProcessBackend(workers, mp_context="fork") as backend:
+                result = _scheme().enroll_population(
+                    profiles, backend=backend, seed=77, chunk_size=chunk_size
+                )
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable_metrics()
+        # the payloads crossed through the result arena, which is always on
+        assert counters["smatch_parallel_shm_bytes_total"] > 0
         _assert_same(serial_result, result)
 
     def test_other_seed_differs(self, profiles, serial_result):
@@ -143,8 +125,9 @@ class TestEnrollmentEquivalence:
     def test_unseeded_backend_run_deterministic_under_seeded_scheme(
         self, profiles
     ):
-        a = _scheme().enroll_population(profiles, backend=ThreadBackend(2))
-        b = _scheme().enroll_population(profiles, backend=ThreadBackend(3))
+        a = _scheme().enroll_population(profiles, backend="serial")
+        with ProcessBackend(3, mp_context="fork") as backend:
+            b = _scheme().enroll_population(profiles, backend=backend)
         _assert_same(a, b)
 
 
@@ -164,7 +147,7 @@ class TestBatchedOprfEquivalence:
         [
             lambda: None,  # serial inline path
             lambda: SerialBackend(),
-            lambda: ThreadBackend(3),
+            lambda: ProcessBackend(3, mp_context="fork"),
             lambda: ProcessBackend(2, mp_context="fork"),
         ],
     )
@@ -242,24 +225,11 @@ class TestQueryBulk:
         serial = matcher.query_bulk(
             users, 3, backend="serial", chunk_size=chunk_size
         )
-        threaded = matcher.query_bulk(
-            users, 3, backend=ThreadBackend(3), chunk_size=chunk_size
-        )
         with ProcessBackend(2, mp_context="fork") as backend:
             processed = matcher.query_bulk(
                 users, 3, backend=backend, chunk_size=chunk_size
             )
-        assert serial == threaded == processed
-
-    def test_bulk_identical_without_shm_context(self, server_and_users):
-        # the shared-segment context shipping is mechanism only: forcing
-        # the per-worker pickle path changes nothing about the results
-        matcher, users = server_and_users
-        serial = matcher.query_bulk(users, 3, backend="serial")
-        with ProcessBackend(2, mp_context="fork", shm=False) as backend:
-            assert (
-                matcher.query_bulk(users, 3, backend=backend) == serial
-            )
+        assert serial == processed
 
     def test_unknown_user_rejected_up_front(self, server_and_users):
         from repro.errors import MatchingError
@@ -278,6 +248,10 @@ def _crash_task(context, chunk):
 
 def _double_task(context, chunk):
     return [value * 2 for value in chunk]
+
+
+def _raise_task(context, chunk):
+    raise ParameterError("inner failure")
 
 
 class TestFailureSurfacing:
@@ -299,13 +273,11 @@ class TestFailureSurfacing:
                 )
 
     def test_task_exceptions_propagate_unchanged(self):
-        def boom(context, chunk):
-            raise ParameterError("inner failure")
-
-        backend = ThreadBackend(2)
-        with pytest.raises(ParameterError):
-            backend.map_chunks(TaskEnvelope(fn=boom, label="boom"), [[1], [2]])
-        backend.close()
+        with ProcessBackend(2, mp_context="fork") as backend:
+            with pytest.raises(ParameterError, match="inner failure"):
+                backend.map_chunks(
+                    TaskEnvelope(fn=_raise_task, label="boom"), [[1], [2]]
+                )
 
 
 # -- resolution and defaults ---------------------------------------------------
@@ -314,14 +286,14 @@ class TestFailureSurfacing:
 class TestResolution:
     def test_names_resolve(self):
         assert resolve_backend("serial").name == "serial"
-        assert resolve_backend("thread", 3).workers == 3
         assert resolve_backend("process", 2).workers == 2
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ParameterError):
-            resolve_backend("gpu")
+        for name in ("gpu", "thread"):
+            with pytest.raises(ParameterError):
+                resolve_backend(name)
         with pytest.raises(ParameterError):
             resolve_backend(42)
 
@@ -329,14 +301,17 @@ class TestResolution:
         set_default_backend(None)
         monkeypatch.delenv("SMATCH_BACKEND", raising=False)
         assert default_backend() is None
-        monkeypatch.setenv("SMATCH_BACKEND", "thread")
+        monkeypatch.setenv("SMATCH_BACKEND", "process")
         backend = default_backend()
-        assert backend is not None and backend.name == "thread"
+        assert backend is not None and backend.name == "process"
         # cached per name across call sites
         assert default_backend() is backend
+        monkeypatch.setenv("SMATCH_BACKEND", "thread")
+        with pytest.raises(ParameterError):
+            default_backend()
 
     def test_explicit_default_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("SMATCH_BACKEND", "thread")
+        monkeypatch.setenv("SMATCH_BACKEND", "process")
         try:
             installed = set_default_backend("serial")
             assert default_backend() is installed
@@ -345,9 +320,9 @@ class TestResolution:
 
     def test_workers_validated(self):
         with pytest.raises(ParameterError):
-            ThreadBackend(0)
+            ProcessBackend(0)
         with pytest.raises(ParameterError):
-            ProcessBackend(2, max_inflight=0)
+            resolve_backend("process", 0)
 
 
 # -- cross-backend telemetry equivalence ---------------------------------------
@@ -384,11 +359,6 @@ def distinct_profiles():
 def _traced_enroll(backend, distinct_profiles):
     """Enroll under a fresh tracer + registry; returns (uploads, counters,
     span records, root ops)."""
-    from repro.obs.metrics import (
-        MetricsRegistry,
-        disable_metrics,
-        enable_metrics,
-    )
     from repro.obs.trace import tracing
 
     registry = enable_metrics(MetricsRegistry())
@@ -413,8 +383,8 @@ class TestTelemetryEquivalence:
 
     ``smatch_parallel_*``, ``smatch_ope_cache_*_total``, and
     ``smatch_enroll_*`` measure the *work*, so a seeded batch must report
-    identical totals whether it ran serially, on GIL threads, or fanned
-    out to worker processes; only ``smatch_obs_worker_spans_total`` (the
+    identical totals whether it ran serially or fanned out to worker
+    processes; only ``smatch_obs_worker_spans_total`` (the
     collection mechanism) legitimately differs, and gauges like cache
     ``entries`` may (one big serial cache vs per-worker caches merged by
     max).  Worker spans splice into the parent trace under the submitting
@@ -440,15 +410,8 @@ class TestTelemetryEquivalence:
     def serial_telemetry(self, distinct_profiles):
         return _traced_enroll(SerialBackend(), distinct_profiles)
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_counters_match_serial(
-        self, kind, serial_telemetry, distinct_profiles
-    ):
-        if kind == "thread":
-            backend = ThreadBackend(4)
-        else:
-            backend = ProcessBackend(4, mp_context="fork")
-        with backend:
+    def test_counters_match_serial(self, serial_telemetry, distinct_profiles):
+        with ProcessBackend(4, mp_context="fork") as backend:
             uploads, counters, _, root_ops = _traced_enroll(
                 backend, distinct_profiles
             )
@@ -489,56 +452,7 @@ class TestTelemetryEquivalence:
         spliced = sum(1 for r in records if in_worker_subtree(r["id"]))
         assert counters["smatch_obs_worker_spans_total"] == spliced >= 3
 
-    def test_thread_worker_spans_not_lost(self, distinct_profiles):
-        # regression guard: thread workers run off the submitting thread,
-        # so without capture+splice their spans silently vanished
-        with ThreadBackend(4) as backend:
-            _, counters, records, _ = _traced_enroll(
-                backend, distinct_profiles
-            )
-        chunk_spans = [r for r in records if r["name"] == "parallel.chunk"]
-        assert len(chunk_spans) == 3
-        for record in chunk_spans:
-            assert record["attrs"]["worker"]  # thread name
-        assert counters["smatch_obs_worker_spans_total"] >= 3
-        # per-chunk enroll work nests under the spliced chunk spans
-        chunk_ids = {r["id"] for r in chunk_spans}
-        assert any(r["parent"] in chunk_ids for r in records)
-
     def test_serial_has_no_worker_span_accounting(self, serial_telemetry):
         _, counters, records, _ = serial_telemetry
         assert "smatch_obs_worker_spans_total" not in counters
         assert all("worker" not in r["attrs"] for r in records)
-
-    def test_envelope_obs_false_disables_capture(self, distinct_profiles):
-        from repro.obs.trace import tracing
-
-        chunks = partition_chunks(list(range(6)), chunk_size=2)
-        envelope = TaskEnvelope(
-            fn=lambda _, chunk: [x * x for x in chunk],
-            context=None,
-            label="square",
-            obs=False,
-        )
-        with ThreadBackend(2) as backend, tracing("off") as tracer:
-            results = backend.map_chunks(envelope, chunks)
-        assert [x for chunk in results for x in chunk] == [
-            x * x for x in range(6)
-        ]
-        names = {s.name for s in tracer.root.walk()}
-        assert "parallel.chunk" not in names
-
-    def test_envelope_obs_true_forces_capture(self, distinct_profiles):
-        from repro.obs.trace import tracing
-
-        chunks = partition_chunks(list(range(4)), chunk_size=2)
-        envelope = TaskEnvelope(
-            fn=lambda _, chunk: list(chunk),
-            context=None,
-            label="identity",
-            obs=True,
-        )
-        with ThreadBackend(2) as backend, tracing("on") as tracer:
-            backend.map_chunks(envelope, chunks)
-        names = [s.name for s in tracer.root.walk()]
-        assert names.count("parallel.chunk") == 2

@@ -17,7 +17,7 @@ from repro.experiments.common import build_population, build_scheme
 from repro.net.channel import SecureChannel
 from repro.net.oprf_messages import BatchedBlindEvalRequest
 from repro.net.transport import InMemoryNetwork
-from repro.parallel import ThreadBackend
+from repro.parallel import balanced_chunk_size
 from repro.server.keyservice import KeyGenService, RateLimitExceeded
 
 
@@ -48,10 +48,14 @@ class TestSeededDeterminism:
         serial = _fresh_scheme(pop).enroll_population(
             profiles, backend="serial", seed=77
         )
-        parallel = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(4), seed=77
+        # the chunk partition a 4-worker pool would run
+        four_way = _fresh_scheme(pop).enroll_population(
+            profiles,
+            backend="serial",
+            seed=77,
+            chunk_size=balanced_chunk_size(len(profiles), 4),
         )
-        _assert_same_enrollment(serial, parallel)
+        _assert_same_enrollment(serial, four_way)
 
     def test_chunking_does_not_change_output(self, population):
         pop, profiles = population
@@ -59,7 +63,7 @@ class TestSeededDeterminism:
             profiles, backend="serial", seed=77
         )
         chunked = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(3), seed=77, chunk_size=2
+            profiles, backend="serial", seed=77, chunk_size=2
         )
         _assert_same_enrollment(baseline, chunked)
 
@@ -69,7 +73,7 @@ class TestSeededDeterminism:
             pop,
             ope_expansion_bits=16,
             ope_cache=OpeNodeCache(capacity=512),
-        ).enroll_population(profiles, backend=ThreadBackend(4), seed=77)
+        ).enroll_population(profiles, backend="serial", seed=77, chunk_size=3)
         uncached = _fresh_scheme(
             pop, ope_expansion_bits=16, ope_cache=False
         ).enroll_population(profiles, backend="serial", seed=77)
@@ -78,10 +82,10 @@ class TestSeededDeterminism:
     def test_profile_order_is_irrelevant_when_seeded(self, population):
         pop, profiles = population
         forward = _fresh_scheme(pop).enroll_population(
-            profiles, backend=ThreadBackend(2), seed=5
+            profiles, backend="serial", seed=5, chunk_size=5
         )
         reversed_ = _fresh_scheme(pop).enroll_population(
-            list(reversed(profiles)), backend=ThreadBackend(2), seed=5
+            list(reversed(profiles)), backend="serial", seed=5, chunk_size=5
         )
         _assert_same_enrollment(forward, reversed_)
 

@@ -26,10 +26,9 @@ SML007–SML010 family:
   ``acquire``, ``result``, ...) issued while a lock is held.
 * **SML015 — shared-memory lifecycle.**  A CFG path check that every
   resource created by ``SharedMemory(create=True)`` / ``ResultArena`` /
-  ``ContextSegment`` / ``ArenaWriter`` reaches its release (``close()``,
-  or the ``seal()`` commit point for writers) or escapes ownership on
-  every non-raising path, and that attached (non-owner) segments are
-  never ``unlink()``-ed.
+  ``ArenaWriter`` reaches its release (``close()``, or the ``seal()``
+  commit point for writers) or escapes ownership on every non-raising
+  path, and that attached (non-owner) segments are never ``unlink()``-ed.
 
 The per-class facts (:class:`ClassConcurrency`) ride the whole-program
 module summaries, so a module that imports ``OpeNodeCache`` and pokes at
@@ -892,7 +891,8 @@ def _creator_of(call: ast.Call, config: LintConfig) -> Optional[str]:
     """The resource constructor a call invokes, or ``None``.
 
     ``SharedMemory`` only counts with ``create=True`` (attaching borrows);
-    ``ContextSegment.create(...)`` resolves to ``ContextSegment``.
+    a registered resource's ``Resource.create(...)`` classmethod factory
+    resolves to ``Resource``.
     """
     name = _call_name(call.func)
     if name == "create" and isinstance(call.func, ast.Attribute):

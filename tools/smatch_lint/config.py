@@ -369,7 +369,6 @@ class LintConfig:
     resource_release_methods: Tuple[Tuple[str, str], ...] = (
         ("SharedMemory", "close"),
         ("ResultArena", "close"),
-        ("ContextSegment", "close"),
         ("ArenaWriter", "seal"),
         ("ShardWal", "close"),
         ("ShardState", "close"),
